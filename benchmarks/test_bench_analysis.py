@@ -2,8 +2,8 @@
 
 The linter runs on every CI build over the whole tree, so its wall time is
 part of the build budget.  Two scopes are timed: the ``src/repro`` package
-alone (parse, all rules, cross-file ``RenderRequest`` + pipe-protocol
-resolution, CFG construction for the dataflow rules), and the full CI
+alone (parse, all rules, cross-file ``RenderRequest`` resolution, CFG
+construction for the dataflow rules), and the full CI
 scope — src + examples + tests + benchmarks with the
 deliberately-violating lint fixtures excluded.  Both assert the perf bar
 *and* the CI gate property itself (zero findings on the live tree): a
@@ -39,7 +39,12 @@ CI_SCOPE = [
 
 
 def _assert_bar(benchmark, record_info, num_files, findings):
-    """Record throughput numbers and assert the wall-clock bar."""
+    """Record throughput numbers and assert the wall-clock bar.
+
+    Skipped under ``--benchmark-disable``, which leaves no timing stats.
+    """
+    if benchmark.stats is None:
+        return
     mean_seconds = benchmark.stats.stats.mean
     record_info(
         benchmark,

@@ -15,7 +15,7 @@ otherwise be answered by completed cache fills that a concurrent burst, by
 definition, does not have yet.  Everything else about the two services is
 identical, so the measured delta is purely coalescing plus batching:
 
-1. serial replay: ``service.submit(request)`` per request, cold covariods;
+1. serial replay: ``service.submit(request)`` per request, cold covariances;
 2. the gateway serving the same burst — acceptance bar >= 1.5x req/s
    (measured ~4-5x: 80 requests collapse onto the distinct frames).
 

@@ -78,10 +78,15 @@ def _catalog(num_scenes: int) -> SceneStore:
     return store
 
 
+def _shard_services(fleet) -> list:
+    """The in-process fleet's shard services, behind their loopback ends."""
+    return [connection.service for connection in fleet._connections]
+
+
 def _per_worker_owned_bytes(fleet) -> list:
     """Catalog payload bytes each in-process worker privately owns."""
     owned = []
-    for service in fleet._services:
+    for service in _shard_services(fleet):
         store = service.store
         owned.append(getattr(store, "owned_bytes", store.capacity_bytes))
     return owned
@@ -135,12 +140,10 @@ def _run_tier_comparison(store, trace, tmp_path, budget_scenes=4):
         frame_cache_bytes=0,
     ) as fleet:
         paged_report = fleet.serve(trace)
-        resident = [
-            service.store.resident_bytes for service in fleet._services
-        ]
+        services = _shard_services(fleet)
+        resident = [service.store.resident_bytes for service in services]
         evictions = sum(
-            service.store.resident_stats().evictions
-            for service in fleet._services
+            service.store.resident_stats().evictions for service in services
         )
     _assert_bit_identical(paged_report, single)
     # Bounded resident set, actually enforced by evictions.
@@ -231,7 +234,7 @@ def test_bench_storage_10k_catalog_scaling(benchmark, record_info, tmp_path):
             ) as fleet:
                 paged_report = fleet.serve(trace)
                 resident = [
-                    s.store.resident_bytes for s in fleet._services
+                    s.store.resident_bytes for s in _shard_services(fleet)
                 ]
             _assert_bit_identical(paged_report, single)
             assert all(bytes_ <= budget for bytes_ in resident)

@@ -5,8 +5,8 @@ convention — and PRs 4/5 each paid for a violation after the fact (cache
 keys retrofitted with ``level``; a ~6-second dataclass repr of gathered
 frames).  This package machine-checks those contracts at CI time with a
 small static-analysis framework (stdlib ``ast`` only) — since PR 10 with
-a per-function dataflow engine (:mod:`repro.analysis.flow`: CFGs,
-reaching definitions, forward alias tracking) underneath — and eight rule
+a per-function dataflow engine (:mod:`repro.analysis.flow`: CFGs, forward
+alias tracking, may-leak path queries) underneath — and seven rule
 families targeting the codebase's proven bug classes:
 
 * ``determinism`` — all randomness must flow through explicitly seeded
@@ -24,9 +24,6 @@ families targeting the codebase's proven bug classes:
 * ``shm-lifecycle`` — every ``SharedMemory(...)`` creation must pair with
   ``close()``/``unlink()`` in a ``finally``/context manager or register a
   finalizer (leaked segments survive process death under ``/dev/shm``);
-* ``pipe-protocol`` — every ``connection.send(("<tag>", ...))`` needs a
-  worker-side handler with matching payload arity and vice versa, and
-  worker replies must fit the ``("ok"|"error", payload)`` grammar;
 * ``resource-lease`` — storage leases, pipe ends, process handles and
   files must reach ``close()``/``join()``/a ``with`` block/an ownership
   transfer on every non-exceptional path (CFG-based may-leak analysis);
@@ -71,7 +68,6 @@ from repro.analysis import asyncsafety     # noqa: F401
 from repro.analysis import cachekeys       # noqa: F401
 from repro.analysis import determinism     # noqa: F401
 from repro.analysis import leases          # noqa: F401
-from repro.analysis import protocol        # noqa: F401
 from repro.analysis import reprhygiene     # noqa: F401
 from repro.analysis import shmlifecycle    # noqa: F401
 from repro.analysis import viewmutation    # noqa: F401

@@ -150,10 +150,6 @@ class Project:
         self.modules = list(modules)
         self._class_cache: Dict[str, Optional[ast.ClassDef]] = {}
         self._flow_cache: Dict[int, object] = {}
-        #: Free-form per-lint-run scratch space for whole-project analyses
-        #: (the pipe-protocol rule stores its send/handler vocabulary here
-        #: so the project is swept once, not once per module).
-        self.analysis_cache: Dict[str, object] = {}
 
     def flow(self, scope):
         """The :class:`~repro.analysis.flow.FlowGraph` of one scope, cached.

@@ -33,10 +33,14 @@ kill schedule.
 
 Workers are long-lived ``multiprocessing`` processes, each holding its own
 sub-:class:`~repro.serving.store.SceneStore` and ``RenderService``; the
-dispatcher talks to them over pipes.  ``use_processes=False`` (or
-``num_workers=1``) degrades gracefully to in-process shard services, which
-is also how per-shard *busy time* is measured cleanly on machines with few
-cores (see :attr:`FleetReport.critical_path_seconds`).
+dispatcher talks to them over pipes with typed messages (:class:`Serve`,
+:class:`AddScene`, :class:`RemoveScene`, :class:`ResetCaches`,
+:class:`Stats`, :class:`Close`), each answered by one handler.
+``use_processes=False`` (or ``num_workers=1``) swaps the pipe for an
+in-process loopback endpoint that runs the same handler, so both modes
+share one RPC path; it is also how per-shard *busy time* is measured
+cleanly on machines with few cores (see
+:attr:`FleetReport.critical_path_seconds`).
 
 Usage::
 
@@ -57,7 +61,7 @@ import multiprocessing
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -250,23 +254,87 @@ class FleetReport(ResponseStreamStats):
         return merge_cache_stats([s.frame_cache for s in self.shards])
 
 
+# ---------------------------------------------------------------------- #
+# Worker messages: what the dispatcher can ask a shard, one class each
+# ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class Serve:
+    """Render shard-local requests; replies with the shard's ServiceReport."""
+
+    #: Requests whose ``scene_id`` is the index in the worker's sub-store.
+    requests: Tuple[RenderRequest, ...]
+
+    def run(self, service: RenderService) -> ServiceReport:
+        """Serve the requests through the shard's service."""
+        return service.serve(list(self.requests))
+
+
+@dataclass(frozen=True)
+class AddScene:
+    """Adopt a one-scene store (payload verbatim); replies with its index."""
+
+    store: SceneStore
+
+    def run(self, service: RenderService) -> int:
+        """Append the scene to the shard's sub-store (replication)."""
+        return service.adopt_scene(self.store, 0)
+
+
+@dataclass(frozen=True)
+class RemoveScene:
+    """Drop one sub-store scene and re-key the caches (demotion)."""
+
+    index: int
+
+    def run(self, service: RenderService) -> None:
+        """Remove the scene at the shard-local ``index``."""
+        service.remove_scene(self.index)
+
+
+@dataclass(frozen=True)
+class ResetCaches:
+    """Drop both of the shard's caches."""
+
+    def run(self, service: RenderService) -> None:
+        """Empty the covariance and frame caches."""
+        service.reset_caches()
+
+
+@dataclass(frozen=True)
+class Stats:
+    """Read the shard's ``(covariance, frame)`` cache counters."""
+
+    def run(self, service: RenderService) -> Tuple[CacheStats, CacheStats]:
+        """The current counters of both caches."""
+        return service.covariance_cache.stats(), service.frame_cache.stats()
+
+
+@dataclass(frozen=True)
+class Close:
+    """End the worker loop; never answered."""
+
+    def run(self, service: RenderService) -> None:
+        """Nothing to do: the worker loop exits before handling it."""
+
+
+def _handle(service: RenderService, message) -> Tuple[str, object]:
+    """Run one message against a shard's service and build the reply.
+
+    Returns ``("ok", result)``, or ``("error", traceback_text)`` for any
+    exception — including an object that is not a message — so a bad
+    request cannot wedge the fleet.
+    """
+    try:
+        return "ok", message.run(service)
+    except Exception:
+        return "error", traceback.format_exc()
+
+
 def _shard_worker_main(connection, store: SceneStore, service_kwargs: dict) -> None:
-    """Worker-process loop: own one shard's scenes, answer serve commands.
+    """Worker-process loop: own one shard's scenes, answer messages.
 
-    Protocol (request -> response over the pipe):
-
-    * ``("serve", [(local_scene_index, camera, backend, level), ...])`` ->
-      ``("ok", ServiceReport)``
-    * ``("add_scene", one_scene_store)`` -> ``("ok", local_index)`` after
-      adopting the scene (payload preserved verbatim — replication)
-    * ``("remove_scene", local_index)`` -> ``("ok", None)`` after dropping
-      the scene and re-keying the caches (demotion)
-    * ``("reset",)`` -> ``("ok", None)`` after dropping both caches
-    * ``("stats",)`` -> ``("ok", (covariance CacheStats, frame CacheStats))``
-    * ``("close",)`` -> loop exit (no response)
-
-    Any exception is caught and returned as ``("error", traceback_text)`` so
-    a bad request cannot wedge the fleet.
+    Receives one message at a time, exits on :class:`Close` (or a closed
+    pipe), and sends back the :func:`_handle` reply for anything else.
     """
     service = RenderService(store, **service_kwargs)
     while True:
@@ -274,37 +342,40 @@ def _shard_worker_main(connection, store: SceneStore, service_kwargs: dict) -> N
             message = connection.recv()
         except EOFError:
             break
-        command = message[0]
-        if command == "close":
+        if isinstance(message, Close):
             break
-        try:
-            if command == "serve":
-                requests = [
-                    RenderRequest(
-                        scene_id=index, camera=camera, backend=backend,
-                        level=level,
-                    )
-                    for index, camera, backend, level in message[1]
-                ]
-                connection.send(("ok", service.serve(requests)))
-            elif command == "add_scene":
-                connection.send(("ok", service.adopt_scene(message[1], 0)))
-            elif command == "remove_scene":
-                service.remove_scene(message[1])
-                connection.send(("ok", None))
-            elif command == "reset":
-                service.reset_caches()
-                connection.send(("ok", None))
-            elif command == "stats":
-                connection.send(
-                    ("ok", (service.covariance_cache.stats(),
-                            service.frame_cache.stats()))
-                )
-            else:
-                connection.send(("error", f"unknown command {command!r}"))
-        except Exception:
-            connection.send(("error", traceback.format_exc()))
+        connection.send(_handle(service, message))
     connection.close()
+
+
+class _Loopback:
+    """In-process shard endpoint with the pipe-end subset the fleet uses.
+
+    ``send`` only queues; ``recv`` runs the oldest queued message through
+    :func:`_handle`, so an in-process shard renders at collect time and a
+    kill between dispatch and collect drops the same in-flight work as a
+    killed process.
+    """
+
+    def __init__(self, service: RenderService):
+        self.service = service
+        self._queue: deque = deque()
+
+    def send(self, message) -> None:
+        """Queue a message for the next :meth:`recv`."""
+        self._queue.append(message)
+
+    def recv(self) -> Tuple[str, object]:
+        """Handle the oldest queued message and return its reply."""
+        return _handle(self.service, self._queue.popleft())
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        """Always ``False``: replies are computed by :meth:`recv`, never buffered."""
+        return False
+
+    def close(self) -> None:
+        """Discard any unhandled messages."""
+        self._queue.clear()
 
 
 class ShardedRenderService:
@@ -353,13 +424,11 @@ class ShardedRenderService:
         stay bit-identical to a single-worker serve.
     use_processes:
         ``True`` (default) runs each shard in its own ``multiprocessing``
-        process; ``False`` keeps the shard services in-process, which shares
-        the exact routing/merge/failure code path while serving shards
-        sequentially (useful for tests, single-core hosts and clean
-        busy-time measurement).  ``num_workers=1`` always stays in-process.
-    start_method:
-        Optional ``multiprocessing`` start method (``"fork"``/``"spawn"``);
-        defaults to the platform default.
+        process; ``False`` keeps the shard services in-process behind a
+        loopback endpoint, which shares the exact message, routing, merge
+        and failure code path while serving shards sequentially (useful for
+        tests, single-core hosts and clean busy-time measurement).
+        ``num_workers=1`` always stays in-process.
 
     The service is a context manager; :meth:`close` shuts the workers down.
     ``serve`` is not reentrant — one stream at a time per fleet.
@@ -382,7 +451,6 @@ class ShardedRenderService:
         frame_cache_bytes: Optional[int] = DEFAULT_FRAME_CACHE_BYTES,
         lod_policy=None,
         use_processes: bool = True,
-        start_method: Optional[str] = None,
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
@@ -433,17 +501,14 @@ class ShardedRenderService:
         )
 
         self._closed = False
-        self._use_processes = bool(use_processes) and self.num_workers > 1
-        self._context = None
-        if self._use_processes:
-            self._context = (
-                multiprocessing.get_context(start_method)
-                if start_method
-                else multiprocessing.get_context()
-            )
+        # The transport: worker processes over pipes, or None for loopback.
+        self._context = (
+            multiprocessing.get_context()
+            if use_processes and self.num_workers > 1
+            else None
+        )
         self._connections: List[Optional[object]] = [None] * self.num_workers
         self._processes: List[Optional[object]] = [None] * self.num_workers
-        self._services: List[Optional[RenderService]] = [None] * self.num_workers
         # Per shard: global scene index -> index in the worker's sub-store.
         self._local_index: List[Dict[int, int]] = [
             {} for _ in range(self.num_workers)
@@ -470,7 +535,11 @@ class ShardedRenderService:
         self._local_index[shard] = {
             scene: local for local, scene in enumerate(indices)
         }
-        if self._use_processes:
+        if self._context is None:
+            self._connections[shard] = _Loopback(
+                RenderService(sub_store, **self._service_kwargs)
+            )
+        else:
             parent_end, child_end = self._context.Pipe()
             process = self._context.Process(
                 target=_shard_worker_main,
@@ -481,10 +550,6 @@ class ShardedRenderService:
             child_end.close()
             self._connections[shard] = parent_end
             self._processes[shard] = process
-        else:
-            self._services[shard] = RenderService(
-                sub_store, **self._service_kwargs
-            )
         self._alive[shard] = True
 
     def kill_worker(self, shard: int) -> None:
@@ -505,19 +570,19 @@ class ShardedRenderService:
             )
         if not self._alive[shard]:
             raise ValueError(f"worker {shard} is already dead")
-        if self._use_processes:
-            process = self._processes[shard]
-            if process is not None and process.is_alive():
-                process.terminate()
+        process = self._processes[shard]
+        if process is not None and process.is_alive():
+            process.terminate()
         self._mark_dead(shard)
 
     def _mark_dead(self, shard: int) -> None:
         """Record a worker's death and drop its endpoints (idempotent).
 
-        Closing the parent pipe end discards any completed-but-uncollected
-        reply, so the in-flight requests of a killed shard are *always*
-        requeued — which is what makes the ``requeued`` counter a
-        deterministic function of the stream and the kill schedule.
+        Closing the endpoint discards any completed-but-uncollected reply
+        (in-process: the unhandled message), so the in-flight requests of
+        a killed shard are *always* requeued — which is what makes the
+        ``requeued`` counter a deterministic function of the stream and the
+        kill schedule.
         """
         if not self._alive[shard]:
             return
@@ -525,23 +590,20 @@ class ShardedRenderService:
         self.placement.record(
             "kill", position=self._dispatched_total, scene=None, shard=shard
         )
-        if self._use_processes:
-            connection = self._connections[shard]
-            if connection is not None:
-                try:
-                    connection.close()
-                except OSError:
-                    pass
-            self._connections[shard] = None
-            process = self._processes[shard]
-            if process is not None:
+        connection = self._connections[shard]
+        if connection is not None:
+            try:
+                connection.close()
+            except OSError:
+                pass
+        self._connections[shard] = None
+        process = self._processes[shard]
+        if process is not None:
+            process.join(timeout=5.0)
+            if process.is_alive():
+                process.terminate()
                 process.join(timeout=5.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5.0)
-            self._processes[shard] = None
-        else:
-            self._services[shard] = None
+        self._processes[shard] = None
 
     def _respawn(self, shard: int) -> None:
         """Bring a dead shard back with its placement scene set (cold caches)."""
@@ -574,8 +636,8 @@ class ShardedRenderService:
     # ------------------------------------------------------------------ #
     # Worker RPC
     # ------------------------------------------------------------------ #
-    def _call(self, shard: int, message: tuple):
-        """Send one command to a shard worker and return its reply payload."""
+    def _call(self, shard: int, message):
+        """Send one message to a shard worker and return its reply payload."""
         try:
             self._connections[shard].send(message)
         except (BrokenPipeError, OSError):
@@ -700,25 +762,22 @@ class ShardedRenderService:
                     counted[position] = True
                     scene_traffic[scene] += 1
 
-            # Dispatch to every assigned shard first (process mode), then
-            # collect in the same order; in-process shards render at
-            # collect time, so a kill landing between dispatch and collect
-            # loses the same in-flight work in both modes.
-            if self._use_processes:
-                for shard in sorted(assignment):
-                    payload = [
-                        (
-                            self._local_index[shard][resolved[position]],
-                            requests[position].camera,
-                            requests[position].backend,
-                            requests[position].level,
-                        )
-                        for position in assignment[shard]
-                    ]
-                    try:
-                        self._connections[shard].send(("serve", payload))
-                    except (BrokenPipeError, OSError):
-                        self._mark_dead(shard)  # crash detected at dispatch
+            # Dispatch to every assigned shard first, then collect in the
+            # same order; in-process shards render at collect time, so a
+            # kill landing between dispatch and collect loses the same
+            # in-flight work in both modes.
+            for shard in sorted(assignment):
+                message = Serve(tuple(
+                    replace(
+                        requests[position],
+                        scene_id=self._local_index[shard][resolved[position]],
+                    )
+                    for position in assignment[shard]
+                ))
+                try:
+                    self._connections[shard].send(message)
+                except (BrokenPipeError, OSError):
+                    self._mark_dead(shard)  # crash detected at dispatch
             dispatched += len(round_positions)
             self._dispatched_total += len(round_positions)
 
@@ -739,28 +798,16 @@ class ShardedRenderService:
                 if not self._alive[shard]:
                     requeue_positions.extend(positions)
                     continue
-                if self._use_processes:
-                    try:
-                        report: ServiceReport = self._receive(shard)
-                    except _WorkerDied:
-                        self._mark_dead(shard)
-                        requeue_positions.extend(positions)
-                        continue
-                    except RuntimeError as error:
-                        if first_error is None:
-                            first_error = error
-                        continue
-                else:
-                    local_requests = [
-                        RenderRequest(
-                            scene_id=self._local_index[shard][resolved[position]],
-                            camera=requests[position].camera,
-                            backend=requests[position].backend,
-                            level=requests[position].level,
-                        )
-                        for position in positions
-                    ]
-                    report = self._services[shard].serve(local_requests)
+                try:
+                    report: ServiceReport = self._receive(shard)
+                except _WorkerDied:
+                    self._mark_dead(shard)
+                    requeue_positions.extend(positions)
+                    continue
+                except RuntimeError as error:
+                    if first_error is None:
+                        first_error = error
+                    continue
                 # Merge, restoring global identities so the fleet report
                 # reads exactly like a single-worker one.
                 for position, response in zip(positions, report.responses):
@@ -893,14 +940,11 @@ class ShardedRenderService:
         promotion.  Returns ``False`` if the worker died mid-transfer.
         """
         sub_store = self.store.build_substore([scene])
-        if self._use_processes:
-            try:
-                local = self._call(shard, ("add_scene", sub_store))
-            except _WorkerDied:
-                self._mark_dead(shard)
-                return False
-        else:
-            local = self._services[shard].adopt_scene(sub_store, 0)
+        try:
+            local = self._call(shard, AddScene(sub_store))
+        except _WorkerDied:
+            self._mark_dead(shard)
+            return False
         self._local_index[shard][scene] = local
         self.placement.add_replica(
             scene, shard, position=self._dispatched_total
@@ -916,13 +960,10 @@ class ShardedRenderService:
         """
         local = self._local_index[shard].pop(scene)
         if self._alive[shard]:
-            if self._use_processes:
-                try:
-                    self._call(shard, ("remove_scene", local))
-                except _WorkerDied:
-                    self._mark_dead(shard)
-            else:
-                self._services[shard].remove_scene(local)
+            try:
+                self._call(shard, RemoveScene(local))
+            except _WorkerDied:
+                self._mark_dead(shard)
         for other, index in self._local_index[shard].items():
             if index > local:
                 self._local_index[shard][other] = index - 1
@@ -935,10 +976,7 @@ class ShardedRenderService:
     # ------------------------------------------------------------------ #
     def _idle_shard_stats(self, shard: int) -> Tuple[CacheStats, CacheStats]:
         """Current cache counters of a live shard that served no requests."""
-        if self._use_processes:
-            return self._call(shard, ("stats",))
-        service = self._services[shard]
-        return service.covariance_cache.stats(), service.frame_cache.stats()
+        return self._call(shard, Stats())
 
     def submit(self, request: RenderRequest) -> RenderResponse:
         """Serve a single request through a live owner of its scene."""
@@ -966,18 +1004,14 @@ class ShardedRenderService:
         """Drop every live shard's caches (cold-trace benchmarking)."""
         self._check_open()
         for shard in range(self.num_workers):
-            if not self._alive[shard]:
-                continue
-            if self._use_processes:
-                self._call(shard, ("reset",))
-            else:
-                self._services[shard].reset_caches()
+            if self._alive[shard]:
+                self._call(shard, ResetCaches())
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut the worker processes down (idempotent).
+        """Shut the workers down (idempotent).
 
         Safe to call with replies still in flight — e.g. when ``serve``
         raised between dispatch and collect: pending replies are drained
@@ -988,8 +1022,6 @@ class ShardedRenderService:
         if self._closed:
             return
         self._closed = True
-        if not self._use_processes:
-            return
         for connection in self._connections:
             if connection is None:
                 continue
@@ -999,7 +1031,7 @@ class ShardedRenderService:
             except (EOFError, OSError):
                 pass
             try:
-                connection.send(("close",))
+                connection.send(Close())
             except (BrokenPipeError, OSError):
                 pass
         for process in self._processes:

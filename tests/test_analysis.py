@@ -39,7 +39,6 @@ RULE_IDS = (
     "async-state",
     "repr-hygiene",
     "shm-lifecycle",
-    "pipe-protocol",
     "resource-lease",
     "view-mutation",
 )
@@ -52,7 +51,6 @@ BAD_FIXTURES = {
     "bad_async_state": "async-state",
     "bad_repr": "repr-hygiene",
     "bad_shm_lifecycle": "shm-lifecycle",
-    "bad_pipe_protocol": "pipe-protocol",
     "bad_resource_lease": "resource-lease",
     "bad_view_mutation": "view-mutation",
 }
@@ -64,7 +62,6 @@ GOOD_FIXTURES = (
     "good_async_state",
     "good_repr",
     "good_shm_lifecycle",
-    "good_pipe_protocol",
     "good_resource_lease",
     "good_view_mutation",
 )
@@ -351,78 +348,6 @@ class TestEncoding:
         findings, num_files = lint_paths([str(target)])
         assert findings == []
         assert num_files == 1
-
-
-class TestProtocolMutation:
-    """The acceptance pin: protocol drift in the dispatch loop fails CI."""
-
-    def _fixture_source(self) -> str:
-        return (FIXTURES / "good_pipe_protocol.py").read_text()
-
-    def test_fixture_copy_is_clean(self):
-        assert lint_source(self._fixture_source(),
-                           rules=["pipe-protocol"]) == []
-
-    def test_deleting_a_worker_handler_fails(self, tmp_path):
-        """Dropping the 'reset' arm leaves its sender orphaned: exit 1."""
-        source = self._fixture_source()
-        mutated = source.replace(
-            '            elif command == "reset":\n'
-            '                service.reset_caches()\n'
-            '                connection.send(("ok", None))\n',
-            "",
-        )
-        assert mutated != source, "handler surgery did not match"
-        target = tmp_path / "mutated_protocol.py"
-        target.write_text(mutated)
-        findings, _ = lint_paths([str(target)], rules=["pipe-protocol"])
-        assert any(
-            finding.rule == "pipe-protocol"
-            and "'reset' has no worker-side handler" in finding.message
-            for finding in findings
-        ), [finding.format() for finding in findings]
-        assert run(paths=[str(target)], rules="pipe-protocol",
-                   stream=open("/dev/null", "w")) == 1
-
-    def test_deleting_a_sender_tag_fails(self, tmp_path):
-        """Dropping the 'reset' sender leaves a dead handler arm: exit 1."""
-        source = self._fixture_source()
-        mutated = source.replace(
-            '        call(connection, ("reset",))\n', ""
-        )
-        assert mutated != source, "sender surgery did not match"
-        target = tmp_path / "mutated_protocol.py"
-        target.write_text(mutated)
-        findings, _ = lint_paths([str(target)], rules=["pipe-protocol"])
-        assert any(
-            finding.rule == "pipe-protocol"
-            and "'reset' has no sender" in finding.message
-            for finding in findings
-        ), [finding.format() for finding in findings]
-        assert run(paths=[str(target)], rules="pipe-protocol",
-                   stream=open("/dev/null", "w")) == 1
-
-    def test_live_dispatch_loop_mutation_is_caught(self, tmp_path):
-        """Same surgery on the real sharded.py dispatch loop (PR-8 bug class)."""
-        source = (
-            REPO_ROOT / "src" / "repro" / "serving" / "sharded.py"
-        ).read_text()
-        needle = '            elif command == "remove_scene":'
-        assert needle in source, "sharded.py dispatch loop moved"
-        mutated = source.replace(
-            '            elif command == "remove_scene":\n'
-            '                service.remove_scene(message[1])\n'
-            '                connection.send(("ok", None))\n',
-            "",
-        )
-        assert mutated != source, "dispatch-loop surgery did not match"
-        target = tmp_path / "sharded_mutated.py"
-        target.write_text(mutated)
-        findings, _ = lint_paths([str(target)], rules=["pipe-protocol"])
-        assert any(
-            "'remove_scene' has no worker-side handler" in finding.message
-            for finding in findings
-        ), [finding.format() for finding in findings]
 
 
 class TestLiveTree:

@@ -1,8 +1,8 @@
 """Tests for repro.analysis.flow: the CFG + dataflow engine.
 
-Unit tests pin the graph shapes (branch, loop, try edges), the
-reaching-definitions lattice, alias tracking, and the may-leak path
-query that the PR-10 rule families are built on.  A hypothesis suite
+Unit tests pin the graph shapes (branch, loop, try edges), alias
+tracking, and the may-leak path query that the PR-10 rule families are
+built on.  A hypothesis suite
 pins the engine's totality contract: every function must degrade to "no
 answer", never raise, on any tree ``ast.parse`` accepts.
 """
@@ -17,12 +17,10 @@ from repro.analysis import lint_source
 from repro.analysis.flow import (
     EXCEPTION,
     NORMAL,
-    PARAMETER,
     build_flow,
     iter_scopes,
     projection_root,
     reaches_exit_without,
-    statement_definitions,
     taint_names,
     walk_scope,
 )
@@ -174,66 +172,6 @@ class TestGraphShape:
         graph = build_flow(tree)
         assert graph.exit_block in graph.blocks
         assert len(list(graph.statements())) >= 2
-
-
-class TestReachingDefinitions:
-    def test_unique_definition_resolves(self):
-        graph, function = function_graph(
-            "def f(message):\n"
-            "    command = message[0]\n"
-            "    use(command)\n"
-        )
-        use = find_stmt(function, ast.Expr)
-        definition = graph.reaching_definitions().resolve(use, "command")
-        assert isinstance(definition, ast.Assign)
-        assert isinstance(definition.value, ast.Subscript)
-
-    def test_ambiguous_definition_resolves_to_none(self):
-        graph, function = function_graph(
-            "def f(flag):\n"
-            "    if flag:\n"
-            "        command = 'a'\n"
-            "    else:\n"
-            "        command = 'b'\n"
-            "    use(command)\n"
-        )
-        use = find_stmt(function, ast.Expr)
-        assert graph.reaching_definitions().resolve(use, "command") is None
-
-    def test_parameters_reach_as_sentinel(self):
-        graph, function = function_graph(
-            "def f(payload):\n    use(payload)\n"
-        )
-        use = find_stmt(function, ast.Expr)
-        sites = graph.reaching_definitions().at(use).get("payload")
-        assert sites == frozenset({PARAMETER})
-        # The sentinel never resolves to a concrete statement.
-        assert graph.reaching_definitions().resolve(use, "payload") is None
-
-    def test_loop_merges_definitions(self):
-        graph, function = function_graph(
-            "def f(items):\n"
-            "    total = 0\n"
-            "    for item in items:\n"
-            "        total = total + item\n"
-            "    use(total)\n"
-        )
-        use = find_stmt(function, ast.Expr)
-        sites = graph.reaching_definitions().at(use).get("total")
-        assert len(sites) == 2  # the init and the loop-body rebind
-
-    def test_statement_definitions_covers_binding_forms(self):
-        tree = ast.parse(
-            "a, b = 1, 2\n"
-            "c: int = 3\n"
-            "d += 1\n"
-            "with open('x') as e:\n    pass\n"
-            "for f_ in []:\n    pass\n"
-        )
-        names = set()
-        for stmt in tree.body:
-            names |= statement_definitions(stmt)
-        assert {"a", "b", "c", "d", "e", "f_"} <= names
 
 
 class TestTaintAndPaths:
@@ -435,9 +373,7 @@ class TestTotality:
         tree = ast.parse(source)
         for scope in iter_scopes(tree):
             graph = build_flow(scope)
-            reaching = graph.reaching_definitions()
             for statement in graph.statements():
-                reaching.at(statement)
                 assert graph.locate(statement) is not None
             taint_names(graph, lambda e: isinstance(e, ast.Call))
             statements = list(graph.statements())
@@ -450,12 +386,10 @@ class TestTotality:
         """The three PR-10 rules degrade to findings-or-nothing, never crash."""
         findings = lint_source(
             source,
-            rules=["pipe-protocol", "resource-lease", "view-mutation",
-                   "shm-lifecycle"],
+            rules=["resource-lease", "view-mutation", "shm-lifecycle"],
         )
         for finding in findings:
             assert finding.rule in {
-                "pipe-protocol",
                 "resource-lease",
                 "view-mutation",
                 "shm-lifecycle",

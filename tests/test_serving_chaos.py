@@ -308,7 +308,7 @@ class TestSharedStorageChaos:
             plan = FailurePlan.at((10, 1))
             report = fleet.serve(trace, failure_plan=plan)
             assert report.respawned >= 1
-            substore = fleet._services[1].store
+            substore = fleet._connections[1].service.store
             # The respawned worker serves zero-copy views of the hosted
             # segment: a reference list, not a rebuilt catalog copy.
             assert isinstance(substore, SharedStoreView)

@@ -1,5 +1,7 @@
 """Tests for the sharded multi-worker serving layer."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.serving import (
     generate_requests,
     merge_cache_stats,
 )
+from repro.serving.sharded import Stats
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +142,9 @@ class TestShardedRenderService:
         assert report.num_requests == 1
 
     def test_single_worker_stays_in_process(self, store, trace, single_report):
+        before = set(multiprocessing.active_children())
         fleet = ShardedRenderService(store, num_workers=1)
-        assert fleet._use_processes is False
+        assert set(multiprocessing.active_children()) <= before
         report = fleet.serve(trace)
         for mine, ref in zip(report.responses, single_report.responses):
             assert np.array_equal(mine.image, ref.image)
@@ -183,23 +187,29 @@ class TestShardedRenderService:
         with pytest.raises(RuntimeError):
             fleet.serve([RenderRequest(scene_id=0, camera=camera)])
 
-    def test_worker_survives_a_bad_request(self, store):
+    @pytest.mark.parametrize("use_processes", [True, False])
+    def test_worker_survives_a_bad_request(self, store, use_processes):
         # An unknown scene id raises in the dispatcher without wedging the
         # fleet; the workers keep serving afterwards.
         camera = store.get_cameras(0)[0]
-        with ShardedRenderService(store, num_workers=2) as fleet:
+        with ShardedRenderService(
+            store, num_workers=2, use_processes=use_processes
+        ) as fleet:
             with pytest.raises(KeyError):
                 fleet.serve([RenderRequest(scene_id="nope", camera=camera)])
             response = fleet.submit(RenderRequest(scene_id=0, camera=camera))
             assert response.image.shape == (36, 48, 3)
 
-    def test_worker_error_does_not_desync_the_fleet(self, store):
+    @pytest.mark.parametrize("use_processes", [True, False])
+    def test_worker_error_does_not_desync_the_fleet(self, store, use_processes):
         # One shard's worker raising mid-serve (camera=None explodes inside
         # the worker, past the dispatcher's own checks) must not leave the
         # other shard's reply unread: a stale reply would be handed to the
-        # *next* command on that pipe.
+        # *next* message on that pipe.  In-process shards fail the same way.
         camera = store.get_cameras(1)[0]
-        with ShardedRenderService(store, num_workers=2) as fleet:
+        with ShardedRenderService(
+            store, num_workers=2, use_processes=use_processes
+        ) as fleet:
             with pytest.raises(RuntimeError, match="shard 0 worker failed"):
                 fleet.serve([
                     RenderRequest(scene_id=0, camera=None),   # shard 0 dies
@@ -212,6 +222,21 @@ class TestShardedRenderService:
             assert fleet.serve(
                 [RenderRequest(scene_id=0, camera=store.get_cameras(0)[0])]
             ).num_requests == 1
+
+    @pytest.mark.parametrize("use_processes", [True, False])
+    def test_non_message_gets_an_error_reply(self, store, use_processes):
+        # Anything that is not a worker message is answered with an error
+        # reply, and the worker keeps serving.
+        camera = store.get_cameras(0)[0]
+        with ShardedRenderService(
+            store, num_workers=2, use_processes=use_processes
+        ) as fleet:
+            with pytest.raises(RuntimeError, match="shard 0 worker failed"):
+                fleet._call(0, ("stats",))
+            assert len(fleet._call(0, Stats())) == 2
+            response = fleet.submit(RenderRequest(scene_id=0, camera=camera))
+            golden = render(store.get_scene(0), camera=camera)
+            assert np.array_equal(response.image, golden.image)
 
 
 class TestReplicatedPlacement:
@@ -280,12 +305,12 @@ class TestWorkerShutdownAudit:
 
     def test_close_drains_unread_replies(self, store):
         # A reply left in flight (dispatch without collect) must not wedge
-        # close(): the dispatcher drains the pipe before sending "close",
-        # so the worker still exits cleanly.
+        # close(): the dispatcher drains the pipe before sending Close, so
+        # the worker still exits cleanly.
         fleet = ShardedRenderService(store, num_workers=2)
         processes = self._processes(fleet)
-        fleet._connections[0].send(("stats",))
-        fleet._connections[1].send(("stats",))
+        fleet._connections[0].send(Stats())
+        fleet._connections[1].send(Stats())
         fleet.close()
         assert all(not p.is_alive() for p in processes)
         assert all(p.exitcode == 0 for p in processes)
