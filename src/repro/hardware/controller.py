@@ -10,7 +10,7 @@ per-tile and per-batch cycle costs and for the dispatch ordering it imposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 
@@ -36,16 +36,6 @@ class ControllerTimings:
 
 
 @dataclass
-class DispatchRecord:
-    """One unit of work issued by the dispatch controller."""
-
-    instance_id: int
-    tile_id: int
-    batch_index: int
-    num_primitives: int
-
-
-@dataclass
 class DispatchController:
     """Static round-robin distribution of tiles across rasterizer instances.
 
@@ -55,7 +45,6 @@ class DispatchController:
     """
 
     num_instances: int
-    records: List[DispatchRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.num_instances <= 0:
@@ -67,10 +56,6 @@ class DispatchController:
         for position, tile_id in enumerate(tile_ids):
             assignments[position % self.num_instances].append(tile_id)
         return assignments
-
-    def record(self, record: DispatchRecord) -> None:
-        """Log one dispatched batch (used by tests and debugging)."""
-        self.records.append(record)
 
 
 @dataclass

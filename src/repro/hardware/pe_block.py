@@ -5,6 +5,23 @@ pixels are interleaved across the PEs (pixel ``p`` belongs to PE
 ``p mod num_pes``), so partially filled border tiles still spread their work
 evenly.  Primitives staged in the active tile buffer are broadcast to all
 PEs in sorted order; each PE applies the primitive to its own pixels.
+
+The model simulates that broadcast as one tile-wide datapath pass per
+primitive: :func:`~repro.hardware.pe.gaussian_datapath` and
+:func:`~repro.hardware.pe.triangle_datapath` evaluate the primitive over
+every pixel of the tile, with each pixel tagged by the PE (lane) owning it,
+and report per-lane activity.  The pass is exact, not an approximation of
+16 separate PEs:
+
+* every per-pixel operation is elementwise, so a pixel's colour,
+  transmittance, depth and UV do not depend on which other pixels share the
+  pass;
+* the operation tally is a sum over pixels, and the per-PE rules are kept
+  per lane: a PE runs Gaussian subtasks 3-4 on all of its active pixels when
+  one of them contributes, and every PE owning a pixel of the tile performs
+  the triangle setup;
+* each PE's busy cycles and fragment counters are credited from the
+  per-lane counts, and a batch takes as long as its busiest PE.
 """
 
 from __future__ import annotations
@@ -15,12 +32,15 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.hardware.config import GauRastConfig
+from repro.hardware.fp import quantize
 from repro.hardware.pe import (
     GaussianPixelState,
-    ProcessingElement,
     TrianglePixelState,
+    composite_background,
+    gaussian_datapath,
+    triangle_datapath,
 )
-from repro.hardware.units import OperationTally
+from repro.hardware.units import DatapathUnits, OperationTally
 
 
 @dataclass
@@ -33,15 +53,23 @@ class BlockBatchResult:
 
 
 class PEBlock:
-    """The array of PEs of one enhanced-rasterizer instance."""
+    """The array of PEs of one enhanced-rasterizer instance.
+
+    The PEs share one set of functional-unit models (and so one operation
+    tally); their activity counters are arrays indexed by PE.
+    """
 
     def __init__(self, config: GauRastConfig, shared_tally: OperationTally | None = None):
         self.config = config
         self.tally = shared_tally or OperationTally()
-        self.pes: List[ProcessingElement] = [
-            ProcessingElement(config, tally=self.tally)
-            for _ in range(config.pes_per_instance)
-        ]
+        self.units = DatapathUnits(config.precision, self.tally)
+        num_pes = config.pes_per_instance
+        #: Cycles each PE spent computing.
+        self.busy_cycles = np.zeros(num_pes, dtype=np.int64)
+        #: Fragments each PE evaluated.
+        self.fragments_evaluated = np.zeros(num_pes, dtype=np.int64)
+        #: Fragments each PE skipped by per-pixel early termination.
+        self.fragments_skipped = np.zeros(num_pes, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Pixel ownership
@@ -50,30 +78,18 @@ class PEBlock:
         """Return the PE index owning each of ``num_pixels`` tile pixels."""
         return np.arange(num_pixels) % self.config.pes_per_instance
 
-    def _partition(self, pixel_centers: np.ndarray) -> List[np.ndarray]:
-        owners = self.owner_of_pixels(len(pixel_centers))
-        return [np.nonzero(owners == pe)[0] for pe in range(len(self.pes))]
-
-    # ------------------------------------------------------------------ #
-    # Counters
-    # ------------------------------------------------------------------ #
-    @property
-    def fragments_evaluated(self) -> int:
-        """Fragments evaluated across all PEs."""
-        return sum(pe.fragments_evaluated for pe in self.pes)
-
-    @property
-    def fragments_skipped(self) -> int:
-        """Fragments skipped by per-pixel early termination across all PEs."""
-        return sum(pe.fragments_skipped for pe in self.pes)
-
-    def reset_counters(self) -> None:
-        """Clear all PE counters and the shared operation tally."""
-        for pe in self.pes:
-            pe.fragments_evaluated = 0
-            pe.fragments_skipped = 0
-            pe.busy_cycles = 0
-        self.tally.counts.clear()
+    def _credit(self, evaluated: np.ndarray, skipped: np.ndarray,
+                cycles_per_fragment: int) -> BlockBatchResult:
+        """Credit one batch's per-PE fragment counts to the PE counters."""
+        busy = evaluated * cycles_per_fragment
+        self.busy_cycles += busy
+        self.fragments_evaluated += evaluated
+        self.fragments_skipped += skipped
+        return BlockBatchResult(
+            compute_cycles=int(busy.max()),
+            fragments_evaluated=int(evaluated.sum()),
+            fragments_skipped=int(skipped.sum()),
+        )
 
     # ------------------------------------------------------------------ #
     # Gaussian mode
@@ -105,38 +121,25 @@ class PEBlock:
             the PEs, since the block finishes a batch when its slowest PE
             does).
         """
-        num_pixels = len(pixel_centers)
-        partitions = self._partition(pixel_centers)
-        states = [GaussianPixelState.initial(len(p)) for p in partitions]
+        num_pes = self.config.pes_per_instance
+        precision = self.config.precision
+        lanes = self.owner_of_pixels(len(pixel_centers))
+        lane_pixels = np.bincount(lanes, minlength=num_pes)
+        pixels = quantize(pixel_centers, precision)
+        state = GaussianPixelState.initial(len(pixel_centers))
 
         batch_results: List[BlockBatchResult] = []
         for batch in primitive_batches:
-            busy_before = [pe.busy_cycles for pe in self.pes]
-            evaluated_before = self.fragments_evaluated
-            skipped_before = self.fragments_skipped
-            for pe, indices, state in zip(self.pes, partitions, states):
-                if len(indices) == 0:
-                    continue
-                centers = pixel_centers[indices]
-                for primitive in batch:
-                    pe.apply_gaussian(centers, state, primitive)
-            compute = max(
-                pe.busy_cycles - before for pe, before in zip(self.pes, busy_before)
-            )
+            evaluated = np.zeros(num_pes, dtype=np.int64)
+            for primitive in quantize(batch, precision):
+                evaluated += gaussian_datapath(
+                    self.units, pixels, lanes, num_pes, state, primitive
+                )[0]
+            skipped = lane_pixels * len(batch) - evaluated
             batch_results.append(
-                BlockBatchResult(
-                    compute_cycles=int(compute),
-                    fragments_evaluated=self.fragments_evaluated - evaluated_before,
-                    fragments_skipped=self.fragments_skipped - skipped_before,
-                )
+                self._credit(evaluated, skipped, self.config.gaussian_cycles_per_fragment)
             )
-
-        colors = np.zeros((num_pixels, 3), dtype=np.float64)
-        for pe, indices, state in zip(self.pes, partitions, states):
-            if len(indices) == 0:
-                continue
-            colors[indices] = pe.finalize_gaussian(state, background)
-        return colors, batch_results
+        return composite_background(self.units, state, background), batch_results
 
     # ------------------------------------------------------------------ #
     # Triangle mode
@@ -156,41 +159,30 @@ class PEBlock:
 
         Returns the tile colours, depths and per-batch timing records.
         """
-        num_pixels = len(pixel_centers)
-        partitions = self._partition(pixel_centers)
-        states = [
-            TrianglePixelState.initial(len(p), background=background)
-            for p in partitions
-        ]
+        num_pes = self.config.pes_per_instance
+        precision = self.config.precision
+        lane_pixels = np.bincount(
+            self.owner_of_pixels(len(pixel_centers)), minlength=num_pes
+        )
+        owning_pes = int(np.count_nonzero(lane_pixels))
+        pixels = quantize(pixel_centers, precision)
+        state = TrianglePixelState.initial(len(pixel_centers), background=background)
 
         batch_results: List[BlockBatchResult] = []
         for batch, batch_colors, batch_uvs in zip(primitive_batches, colors, uvs):
-            busy_before = [pe.busy_cycles for pe in self.pes]
-            evaluated_before = self.fragments_evaluated
-            for pe, indices, state in zip(self.pes, partitions, states):
-                if len(indices) == 0:
-                    continue
-                centers = pixel_centers[indices]
-                for primitive, tri_colors, tri_uvs in zip(
-                    batch, batch_colors, batch_uvs
-                ):
-                    pe.apply_triangle(centers, state, primitive, tri_colors, tri_uvs)
-            compute = max(
-                pe.busy_cycles - before for pe, before in zip(self.pes, busy_before)
-            )
+            for primitive, tri_colors, tri_uvs in zip(
+                quantize(batch, precision),
+                quantize(batch_colors, precision),
+                quantize(batch_uvs, precision),
+            ):
+                triangle_datapath(
+                    self.units, pixels, state, primitive, tri_colors, tri_uvs, owning_pes
+                )
             batch_results.append(
-                BlockBatchResult(
-                    compute_cycles=int(compute),
-                    fragments_evaluated=self.fragments_evaluated - evaluated_before,
-                    fragments_skipped=0,
+                self._credit(
+                    lane_pixels * len(batch),
+                    np.zeros(num_pes, dtype=np.int64),
+                    self.config.triangle_cycles_per_fragment,
                 )
             )
-
-        out_colors = np.zeros((num_pixels, 3), dtype=np.float64)
-        out_depths = np.full(num_pixels, np.inf, dtype=np.float64)
-        for indices, state in zip(partitions, states):
-            if len(indices) == 0:
-                continue
-            out_colors[indices] = state.color
-            out_depths[indices] = state.depth
-        return out_colors, out_depths, batch_results
+        return state.color, state.depth, batch_results

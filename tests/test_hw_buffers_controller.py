@@ -7,7 +7,6 @@ from repro.hardware.config import GauRastConfig
 from repro.hardware.controller import (
     ControllerTimings,
     DispatchController,
-    DispatchRecord,
     ResultCollector,
 )
 from repro.hardware.tile_buffer import (
@@ -124,11 +123,6 @@ class TestDispatchController:
     def test_invalid_instance_count(self):
         with pytest.raises(ValueError):
             DispatchController(num_instances=0)
-
-    def test_record_keeps_history(self):
-        dispatcher = DispatchController(num_instances=1)
-        dispatcher.record(DispatchRecord(0, tile_id=3, batch_index=0, num_primitives=7))
-        assert dispatcher.records[0].tile_id == 3
 
 
 class TestResultCollector:
