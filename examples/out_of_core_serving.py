@@ -9,16 +9,14 @@ catalog stops fitting in RAM at all.  The storage tiers fix both ends:
 1. build a catalog and re-host it in **shared memory**
    (:class:`SharedSceneStore`): one named segment, every worker process
    attaches zero-copy, so per-worker owned payload drops to zero;
-2. mutate the catalog under a live reader — the **copy-on-grow epoch
-   scheme** keeps the reader's snapshot consistent while the owner grows;
-3. page the catalog to a chunked on-disk archive
+2. page the catalog to a chunked on-disk archive
    (:class:`PagedSceneStore`, format v4) and serve it under a **byte
    budget**: scenes load lazily and a byte-accounted LRU keeps the
    resident set bounded;
-4. serve the same trace through both tiers and the plain in-memory store
+3. serve the same trace through both tiers and the plain in-memory store
    and check every frame is **bit-identical** — residency never changes a
    pixel;
-5. release everything and verify ``/dev/shm`` is clean.
+4. release everything and verify ``/dev/shm`` is clean.
 
 Run with::
 
@@ -28,7 +26,6 @@ Run with::
 from __future__ import annotations
 
 import os
-import pickle
 import tempfile
 from pathlib import Path
 
@@ -106,27 +103,8 @@ def main() -> None:
         print(f"  worker view: {len(view)} scenes referenced, "
               f"{view.owned_bytes} bytes privately owned (zero-copy)")
 
-        # ------------------------------------------------------------------ #
-        # 2. Copy-on-grow: mutation never tears a live reader.
-        # ------------------------------------------------------------------ #
-        reader = pickle.loads(pickle.dumps(catalog))  # attach, like a worker
-        before = reader.get_cloud(0).positions.copy()
-        epoch_before = catalog.segment_name
-        catalog.add_scene(make_synthetic_scene(
-            SyntheticConfig(num_gaussians=4000, width=48, height=36, seed=99),
-            name="late-arrival",
-        ))
-        snapshot_intact = np.array_equal(
-            reader.get_cloud(0).positions, before
-        )
-        print(f"\ncopy-on-grow: epoch {epoch_before} -> "
-              f"{catalog.segment_name}")
-        print(f"  reader snapshot intact across the growth epoch: "
-              f"{snapshot_intact}")
-        reader.close()
-
     # ------------------------------------------------------------------ #
-    # 3. Paged tier: bounded resident set from an on-disk archive.
+    # 2. Paged tier: bounded resident set from an on-disk archive.
     # ------------------------------------------------------------------ #
     with tempfile.TemporaryDirectory(prefix="repro-example-") as tmp:
         archive = write_paged(store, Path(tmp) / "catalog")
@@ -148,7 +126,7 @@ def main() -> None:
         print(f"  bit-identical frames from disk: {identical}")
 
     # ------------------------------------------------------------------ #
-    # 4. Lifecycle: nothing left behind.
+    # 3. Lifecycle: nothing left behind.
     # ------------------------------------------------------------------ #
     leaked = [
         name for name in os.listdir("/dev/shm")

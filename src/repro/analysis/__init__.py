@@ -26,9 +26,10 @@ families targeting the codebase's proven bug classes:
   finalizer (leaked segments survive process death under ``/dev/shm``);
 * ``resource-lease`` — storage leases, pipe ends, process handles and
   files must reach ``close()``/``join()``/a ``with`` block/an ownership
-  transfer on every non-exceptional path (CFG-based may-leak analysis);
-* ``view-mutation`` — values aliased from zero-copy view APIs
-  (``get_scene``/``get_cloud``/``build_substore``) must never be written.
+  transfer on every non-exceptional path (CFG-based may-leak analysis).
+
+Read-only scene views need no rule: scene stores hand out non-writeable
+arrays, so a write through a view raises at run time.
 
 Entry points: ``repro lint`` (CLI subcommand), ``python -m
 repro.analysis``, or the library API below.  Suppressions:
@@ -70,7 +71,6 @@ from repro.analysis import determinism     # noqa: F401
 from repro.analysis import leases          # noqa: F401
 from repro.analysis import reprhygiene     # noqa: F401
 from repro.analysis import shmlifecycle    # noqa: F401
-from repro.analysis import viewmutation    # noqa: F401
 
 from repro.analysis import flow            # noqa: F401
 from repro.analysis.report import (

@@ -1,19 +1,17 @@
 """Per-function control-flow graphs and dataflow facts for the linter.
 
-The PR-7 rules were per-file pattern matchers; the contracts PRs 8–9
-introduced (resource leases, read-only shared views) are *flow*
-properties: "every non-exceptional path reaches ``close()``", "this name
-aliases a zero-copy view".  This module is the small dataflow engine
-those rules share, built on stdlib ``ast`` only:
+The PR-7 rules were per-file pattern matchers; the lease contracts PRs
+8–9 introduced (storage leases, pipe ends, shared-memory segments) are
+*flow* properties: "every non-exceptional path reaches ``close()``".
+This module is the small dataflow engine those rules share, built on
+stdlib ``ast`` only:
 
 * :func:`build_flow` turns one scope (a module body or one function) into
   a :class:`FlowGraph` of :class:`BasicBlock`\\ s with branch, loop and
   try edges.  Edges are tagged :data:`NORMAL` or :data:`EXCEPTION`, so
   analyses can reason about non-exceptional paths only.
 * :func:`taint_names` is forward alias tracking: the closure of local
-  names that may be bound to a value matching a seed predicate
-  (optionally following projections — attribute/subscript loads — which
-  is how "a field of a view is a view" is expressed).
+  names that may be bound to a value matching a seed predicate.
 * :func:`reaches_exit_without` answers the may-leak query: can control
   reach the scope's normal exit from a statement without passing one of
   a given set of statements.
@@ -452,31 +450,16 @@ def walk_scope(scope: Scope) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def projection_root(node: ast.expr) -> Optional[ast.expr]:
-    """The base expression of an attribute/subscript chain (or ``None``).
-
-    ``scene.cloud.positions[0]`` projects from ``scene``; a chain rooted in
-    a call — ``store.get_cloud(0).positions`` — roots at the call itself.
-    """
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node
-
-
 def taint_names(
-    graph: FlowGraph,
-    is_source: Callable[[ast.expr], bool],
-    projections: bool = False,
+    graph: FlowGraph, is_source: Callable[[ast.expr], bool]
 ) -> Set[str]:
     """Forward alias tracking: names that may hold a source-matching value.
 
     Runs a fixpoint over the scope's assignments: a name becomes tainted
-    when it is assigned an expression that matches ``is_source``, names an
-    already-tainted value, or (with ``projections``) projects — via
-    attribute or subscript loads — out of a tainted value.  The closure is
-    flow-insensitive within the scope, which over-approximates (a name
-    re-bound to something harmless later stays tainted) and therefore
-    never misses an alias.
+    when it is assigned an expression that matches ``is_source`` or names
+    an already-tainted value.  The closure is flow-insensitive within the
+    scope, which over-approximates (a name re-bound to something harmless
+    later stays tainted) and therefore never misses an alias.
     """
     assignments: List[Tuple[Set[str], ast.expr]] = []
     for node in walk_scope(graph.scope):
@@ -509,8 +492,6 @@ def taint_names(
             return True
         if isinstance(expression, ast.Name):
             return expression.id in tainted
-        if projections and isinstance(expression, (ast.Attribute, ast.Subscript)):
-            return expression_tainted(expression.value)
         return False
 
     changed = True

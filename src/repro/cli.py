@@ -64,7 +64,7 @@ Eight subcommands cover the library's main flows::
                          [--list-rules]
         Run the AST-based invariant linter (repro.analysis) over the tree:
         determinism, cache-key completeness, async-safety, repr-hygiene,
-        shm-lifecycle, resource-lease, view-mutation.
+        shm-lifecycle, resource-lease.
         Exits 0 when clean, 1 on findings, 2 on analyzer-internal errors;
         --update-baseline rewrites the baseline to the current findings
         (pruning stale fingerprints) and exits 0.

@@ -8,7 +8,8 @@ fleets and the CLI do not care where catalog bytes physically live:
 * :mod:`repro.serving.storage.shared` —
   :class:`~repro.serving.storage.shared.SharedSceneStore` hosts the
   flattened arrays in named POSIX shared memory.  One owner, N zero-copy
-  reader processes, explicit segment lifecycle, copy-on-grow epochs.
+  reader processes, explicit segment lifecycle, immutable after
+  construction.
 * :mod:`repro.serving.storage.paged` —
   :class:`~repro.serving.storage.paged.PagedSceneStore` pages scenes
   lazily from chunked on-disk files (archive format v4) under a
@@ -46,6 +47,13 @@ from repro.serving.storage.shared import (
 
 #: Storage tiers accepted by :func:`host_store` (and the CLI ``--storage``).
 STORAGE_TIERS = ("memory", "shared", "paged")
+
+
+def _is_quantized(store: SceneStore) -> bool:
+    """Whether ``store`` holds quantized payloads (in memory or paged)."""
+    if isinstance(store, PagedSceneStore):
+        return any(record.kind != "raw" for record in store._records)
+    return hasattr(store, "scene_record")
 
 
 class StorageLease:
@@ -105,16 +113,16 @@ def host_store(
 
     A store already on the requested tier passes through unchanged (no-op
     lease).  The shared tier hosts flat full-detail catalogs only:
-    re-hosting a quantized (LOD) tier raw would silently decode it, so
-    that combination is rejected — page it instead, which preserves the
-    quantized payload verbatim.
+    re-hosting a quantized (LOD) tier raw — in memory or paged — would
+    silently decode it, so that combination is rejected — page it instead,
+    which preserves the quantized payload verbatim.
     """
     if storage in (None, "memory"):
         return StorageLease(store)
     if storage == "shared":
         if isinstance(store, SharedSceneStore):
             return StorageLease(store)
-        if hasattr(store, "scene_record"):
+        if _is_quantized(store):
             raise ValueError(
                 "the shared tier hosts flat full-detail catalogs; page a "
                 "compressed store instead (storage='paged') to keep its "

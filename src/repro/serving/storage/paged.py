@@ -440,11 +440,13 @@ class PagedSceneStore(SceneStore):
         return chunk
 
     def _read_array(self, chunk_path: str, spec: dict) -> np.ndarray:
-        """One stored field as a private in-memory array (copied off disk).
+        """One stored field as a private, read-only in-memory array.
 
-        Copies are deliberate: resident bytes must be *owned* bytes for the
-        budget to actually bound the process footprint, and eviction must
-        genuinely release them rather than leave file-backed pages around.
+        Copies off disk are deliberate: resident bytes must be *owned* bytes
+        for the budget to actually bound the process footprint, and eviction
+        must genuinely release them rather than leave file-backed pages
+        around.  The copy is read-only because every reader of a resident
+        scene shares it.
         """
         chunk = self._chunk(chunk_path)
         dtype = np.dtype(spec["dtype"])
@@ -452,6 +454,7 @@ class PagedSceneStore(SceneStore):
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         start = int(spec["offset"])
         raw = np.array(chunk[start : start + nbytes])
+        raw.flags.writeable = False
         return raw.view(dtype).reshape(shape)
 
     def _load_payload(self, record: _PagedRecord) -> dict:
@@ -522,8 +525,8 @@ class PagedSceneStore(SceneStore):
     def get_cloud(self, index: Union[int, str], level: int = 0) -> GaussianCloud:
         """Cloud of scene ``index``, loaded lazily from its chunk file.
 
-        Raw-kind scenes return views over the resident copy; compressed
-        scenes decode with the exact
+        Raw-kind scenes return read-only views over the resident copy;
+        compressed scenes decode with the exact
         :class:`~repro.compression.store.CompressedSceneStore` code path,
         so frames stay bit-identical per level across residency tiers.
         """

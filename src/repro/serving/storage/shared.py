@@ -17,22 +17,20 @@ Three cooperating pieces:
   :class:`SharedStoreHandle` (or just unpickle the store, which reduces to
   an attach).
 * :class:`SharedStoreHandle` — a tiny picklable pointer (segment name,
-  epoch layout, counts, scene names) that crosses pipes instead of array
-  payload.
+  counts, scene names) that crosses pipes instead of array payload.
 * :class:`SharedStoreView` — what :meth:`SharedSceneStore.build_substore`
   returns: an ordered list of ``(catalog, global index)`` references
   implementing the ``SceneStore`` API.  Pickling a view ships handles and
   indices only; unpickling re-attaches.  Replicating a scene onto another
   view appends a reference, never a copy.
 
-**Epoch scheme (copy-on-grow).**  The flat arrays of one epoch are never
-reallocated in place.  ``add_scene`` within capacity appends past every
-reader's snapshot counts, which tears nothing; growth, removal and
-:meth:`SharedSceneStore.compact` allocate a *new* segment (epoch ``e+1``),
-copy the payload across, and retire the old segment.  Retiring unlinks the
-old name immediately — attached readers keep their (consistent, snapshot)
-mapping alive until they drop it, while new attaches need a fresh handle.
-See the "memory residency contract" in ``docs/ARCHITECTURE.md``.
+**Write-once.**  The constructor sizes one segment exactly from the
+scenes' row totals and SH width, fills it, and marks the arrays
+read-only — on the owner as on every reader.  ``add_scene``,
+``remove_scene`` and ``compact`` raise; a changed catalog is a new
+``SharedSceneStore``.  So a handle never goes stale while its owner is
+open, and no reader can observe a write.  See the "memory residency
+contract" in ``docs/ARCHITECTURE.md``.
 
 **Lifecycle.**  ``close()`` (or the context manager, or garbage collection
 via ``weakref.finalize``) detaches the mapping; the owner additionally
@@ -76,7 +74,7 @@ from repro.serving.store import CAMERA_FIELDS, SceneStore
 #: and a multiple of every element size used, so dtype views are valid).
 SEGMENT_ALIGNMENT = 64
 
-#: Flat arrays hosted in a segment, with the capacity axis each one grows
+#: Flat arrays hosted in a segment, with the row axis each one is sized
 #: along.  Order is the layout order inside the segment.
 _FIELD_AXES = (
     ("_positions", "gaussians"),
@@ -100,12 +98,12 @@ _INT_FIELDS = frozenset({"_start", "_length", "_sh_k", "_cam_start", "_cam_lengt
 _STORE_IDS = itertools.count()
 
 
-def _segment_layout(gaussian_rows: int, scene_rows: int, camera_rows: int,
+def _segment_layout(num_gaussians: int, num_scenes: int, num_cameras: int,
                     sh_width: int) -> Tuple[list, int]:
-    """Aligned ``(name, offset, shape, dtype)`` layout of one epoch segment.
+    """Aligned ``(name, offset, shape, dtype)`` layout of one segment.
 
-    Purely a function of the four capacity parameters, so owner and readers
-    derive identical views from the numbers carried by a
+    Purely a function of the catalog's counts and SH width, so owner and
+    readers derive identical views from the numbers carried by a
     :class:`SharedStoreHandle` — no layout table is stored in the segment.
     """
     trailing = {
@@ -116,7 +114,7 @@ def _segment_layout(gaussian_rows: int, scene_rows: int, camera_rows: int,
         "_poses": (4, 4), "_intrinsics": (CAMERA_FIELDS,),
     }
     rows = {
-        "gaussians": gaussian_rows, "scenes": scene_rows, "cameras": camera_rows,
+        "gaussians": num_gaussians, "scenes": num_scenes, "cameras": num_cameras,
     }
     layout = []
     offset = 0
@@ -130,17 +128,14 @@ def _segment_layout(gaussian_rows: int, scene_rows: int, camera_rows: int,
     return layout, max(offset, SEGMENT_ALIGNMENT)
 
 
-def _map_views(segment: SharedMemory, layout: list, writeable: bool) -> dict:
-    """NumPy views over one segment, per the layout; read-only for readers."""
+def _map_views(segment: SharedMemory, layout: list) -> dict:
+    """Writeable NumPy views over one segment, per the layout."""
     views = {}
     for name, offset, shape, dtype in layout:
         count = int(np.prod(shape, dtype=np.int64))
-        array = np.frombuffer(
+        views[name] = np.frombuffer(
             segment.buf, dtype=dtype, count=count, offset=offset
         ).reshape(shape)
-        if not writeable:
-            array.flags.writeable = False
-        views[name] = array
     return views
 
 
@@ -211,146 +206,96 @@ def _attach_store(handle: "SharedStoreHandle") -> "SharedSceneStore":
 
 @dataclass(frozen=True)
 class SharedStoreHandle:
-    """Picklable pointer to one epoch of a hosted shared catalog.
+    """Picklable pointer to a hosted shared catalog.
 
     Carries everything a reader needs to map the segment and interpret it
-    (name, capacity layout, used counts, scene names) and none of the
-    payload.  A handle is a *snapshot*: it stays valid for attaching while
-    its epoch is the catalog's current one — growth or removal on the
-    owner retires the epoch, after which attaching raises
-    ``FileNotFoundError`` and a fresh handle must be taken.
+    (name, counts, SH width, scene names) and none of the payload.  The
+    catalog never changes, so a handle stays valid for attaching until the
+    owner closes it.
     """
 
     segment: str
     num_gaussians: int
     num_scenes: int
     num_cameras: int
-    gaussian_rows: int
-    scene_rows: int
-    camera_rows: int
     sh_width: int
     names: Tuple[str, ...]
     descriptors: Tuple[Optional[str], ...]
 
 
 class SharedSceneStore(SceneStore):
-    """A :class:`~repro.serving.store.SceneStore` hosted in shared memory.
+    """A write-once :class:`~repro.serving.store.SceneStore` in shared memory.
 
-    Owners construct it exactly like a plain store; the flat arrays live in
-    one named segment per *epoch* (see the module docstring for the
-    copy-on-grow scheme).  Readers attach by name via :meth:`attach` — or
-    simply by unpickling the store, which reduces to an attach — and see
-    the identical arrays zero-copy, enforced read-only.
-
-    Mutation (``add_scene``/``remove_scene``/``compact``) is owner-only;
-    readers raise.  ``build_substore`` returns a :class:`SharedStoreView`
-    (scene references, no payload) instead of a copying sub-store.
+    The constructor hosts ``scenes`` in one exactly-sized named segment;
+    readers attach by name via :meth:`attach` — or simply by unpickling
+    the store, which reduces to an attach — and see the identical arrays
+    zero-copy.  Owner and reader arrays are both read-only, and
+    ``add_scene``/``remove_scene``/``compact`` raise on either.
+    ``build_substore`` returns a :class:`SharedStoreView` (scene
+    references, no payload) instead of a copying sub-store.
     """
 
-    def __init__(
-        self,
-        scenes: Optional[Iterable[GaussianScene]] = None,
-        gaussian_capacity: int = 0,
-        scene_capacity: int = 0,
-        camera_capacity: int = 0,
-    ):
+    def __init__(self, scenes: Iterable[GaussianScene] = ()):
+        scenes = list(scenes)
         self._num_scenes = 0
         self._num_gaussians = 0
         self._num_cameras = 0
-        self._sh_width = 1
+        self._sh_width = max(
+            (scene.cloud.sh_coeffs.shape[1] for scene in scenes), default=1
+        )
         self._names: List[str] = []
         self._descriptors: List[Optional[str]] = []
-
         self._owner = True
         self._pid = os.getpid()
-        self._epoch = 0
-        self._base_name = f"repro-shm-{os.getpid()}-{next(_STORE_IDS)}"
-        self._segment: Optional[SharedMemory] = None
-        self._finalizer = None
-        self._allocate_epoch(
-            max(int(gaussian_capacity), 1),
-            max(int(scene_capacity), 1),
-            max(int(camera_capacity), 1),
-            1,
+
+        layout, size = _segment_layout(
+            sum(len(scene.cloud) for scene in scenes),
+            len(scenes),
+            sum(len(scene.cameras) for scene in scenes),
+            self._sh_width,
         )
-        if scenes is not None:
-            self.extend(scenes)
+        segment = SharedMemory(
+            name=f"repro-shm-{self._pid}-{next(_STORE_IDS)}",
+            create=True, size=size,
+        )
+        try:
+            for field_name, view in _map_views(segment, layout).items():
+                setattr(self, field_name, view)
+            # Exact capacity: the base growth hooks never reallocate.
+            for scene in scenes:
+                SceneStore.add_scene(self, scene)
+        except BaseException:
+            for field_name, _ in _FIELD_AXES:
+                setattr(self, field_name, None)
+            _release_segment(segment, unlink=True)
+            raise
+        for field_name, _ in _FIELD_AXES:
+            getattr(self, field_name).flags.writeable = False
+        self._segment = segment
+        self._finalizer = weakref.finalize(
+            self, _release_segment, segment, True, self._pid
+        )
 
     # ------------------------------------------------------------------ #
     # Segment lifecycle
     # ------------------------------------------------------------------ #
-    def _allocate_epoch(self, gaussian_rows: int, scene_rows: int,
-                        camera_rows: int, sh_width: int) -> None:
-        """Host the flat arrays in a fresh segment, copying the used payload.
-
-        The copy-on-grow primitive behind growth, removal and compaction:
-        the previous epoch's segment is retired (closed and unlinked) only
-        *after* the new epoch is fully populated, and readers attached to
-        it keep their consistent snapshot mapping until they detach.
-        """
-        old_segment = self._segment
-        old_width = self._sh_width
-        old_arrays = {name: getattr(self, name, None) for name, _ in _FIELD_AXES}
-
-        layout, size = _segment_layout(
-            gaussian_rows, scene_rows, camera_rows, sh_width
-        )
-        name = f"{self._base_name}-e{self._epoch}"
-        segment = SharedMemory(name=name, create=True, size=size)
-        try:
-            views = _map_views(segment, layout, writeable=True)
-            if old_segment is not None:
-                used = {
-                    "gaussians": self._num_gaussians,
-                    "scenes": self._num_scenes,
-                    "cameras": self._num_cameras,
-                }
-                copy_width = min(old_width, sh_width)
-                for field_name, axis in _FIELD_AXES:
-                    count = used[axis]
-                    if field_name == "_sh":
-                        views["_sh"][:count, :copy_width, :] = (
-                            old_arrays["_sh"][:count, :copy_width, :]
-                        )
-                    else:
-                        views[field_name][:count] = old_arrays[field_name][:count]
-        except BaseException:
-            segment.close()
-            segment.unlink()
-            raise
-
-        for field_name, view in views.items():
-            setattr(self, field_name, view)
-        self._sh_width = sh_width
-        self._segment = segment
-        self._epoch += 1
-        if self._finalizer is not None:
-            self._finalizer.detach()
-        self._finalizer = weakref.finalize(
-            self, _release_segment, segment, True, self._pid
-        )
-        # Old arrays must drop their buffer exports before the old mapping
-        # can actually unmap; the unlink below succeeds regardless.
-        del old_arrays
-        _release_segment(old_segment, unlink=True, owner_pid=self._pid)
-
     @property
     def segment_name(self) -> Optional[str]:
-        """Name of the current epoch's segment (``None`` once closed)."""
+        """Name of the hosting segment (``None`` once closed)."""
         return self._segment.name if self._segment is not None else None
 
     @property
     def segment_bytes(self) -> int:
-        """Allocated bytes of the current segment (0 once closed)."""
+        """Allocated bytes of the segment (0 once closed)."""
         return self._segment.size if self._segment is not None else 0
 
     @property
     def is_owner(self) -> bool:
-        """Whether this process created (and may mutate/unlink) the catalog."""
+        """Whether this process created (and may unlink) the catalog."""
         return self._owner
 
     def handle(self) -> SharedStoreHandle:
-        """Picklable pointer to the current epoch (for readers to attach)."""
+        """Picklable pointer to the catalog (for readers to attach)."""
         if self._segment is None:
             raise RuntimeError("shared scene store is closed")
         return SharedStoreHandle(
@@ -358,9 +303,6 @@ class SharedSceneStore(SceneStore):
             num_gaussians=self._num_gaussians,
             num_scenes=self._num_scenes,
             num_cameras=self._num_cameras,
-            gaussian_rows=len(self._positions),
-            scene_rows=len(self._start),
-            camera_rows=len(self._poses),
             sh_width=self._sh_width,
             names=tuple(self._names),
             descriptors=tuple(self._descriptors),
@@ -368,28 +310,25 @@ class SharedSceneStore(SceneStore):
 
     @classmethod
     def attach(cls, handle: SharedStoreHandle) -> "SharedSceneStore":
-        """Attach read-only to a hosted catalog by name (zero-copy).
+        """Attach to a hosted catalog by name (zero-copy, read-only).
 
-        The reader maps the same physical pages as the owner; its arrays
-        are marked non-writeable and every mutating method raises.  Close
-        it (or let it be garbage collected) to drop the mapping; a reader
+        The reader maps the same physical pages as the owner.  Close it
+        (or let it be garbage collected) to drop the mapping; a reader
         never unlinks the segment.
         """
         segment = _attach_segment(handle.segment)
         try:
             layout, _ = _segment_layout(
-                handle.gaussian_rows, handle.scene_rows,
-                handle.camera_rows, handle.sh_width,
+                handle.num_gaussians, handle.num_scenes,
+                handle.num_cameras, handle.sh_width,
             )
-            views = _map_views(segment, layout, writeable=False)
+            views = _map_views(segment, layout)
         except BaseException:
             segment.close()
             raise
         store = cls.__new__(cls)
         store._owner = False
         store._pid = os.getpid()
-        store._epoch = 0
-        store._base_name = handle.segment
         store._segment = segment
         store._num_scenes = handle.num_scenes
         store._num_gaussians = handle.num_gaussians
@@ -398,6 +337,7 @@ class SharedSceneStore(SceneStore):
         store._names = list(handle.names)
         store._descriptors = list(handle.descriptors)
         for field_name, view in views.items():
+            view.flags.writeable = False
             setattr(store, field_name, view)
         store._finalizer = weakref.finalize(
             store, _release_segment, segment, False
@@ -431,109 +371,17 @@ class SharedSceneStore(SceneStore):
         self.close()
 
     def __reduce__(self):
-        """Pickle as an attach-by-name of the current epoch (no payload)."""
+        """Pickle as an attach-by-name (no payload)."""
         return (_attach_store, (self.handle(),))
 
-    # ------------------------------------------------------------------ #
-    # Owner-only mutation (copy-on-grow overrides)
-    # ------------------------------------------------------------------ #
-    def _require_owner(self) -> None:
-        """Reject mutation on readers and closed stores."""
-        if self._segment is None:
-            raise RuntimeError("shared scene store is closed")
-        if not self._owner:
-            raise RuntimeError(
-                "attached shared store is read-only; mutate the owning store"
-            )
-
-    def add_scene(self, scene: GaussianScene) -> int:
-        """Append a scene (owner only).
-
-        Within capacity this writes only rows past every reader handle's
-        snapshot counts, so existing reader views are never torn; when
-        capacity must grow, a fresh epoch segment is allocated instead of
-        resizing in place.
-        """
-        self._require_owner()
-        return super().add_scene(scene)
-
-    def remove_scene(self, index: Union[int, str]) -> None:
-        """Remove a scene via a fresh epoch (owner only).
-
-        In-place compaction would shift rows under attached readers, so
-        the payload is first moved verbatim into a new epoch segment (which
-        no reader maps yet) and compacted *there*; readers of the retired
-        epoch keep their consistent pre-removal snapshot.
-        """
-        self._require_owner()
-        self.resolve_index(index)
-        self._allocate_epoch(
-            len(self._positions), len(self._start), len(self._poses),
-            self._sh_width,
+    def _reject_mutation(self, *args, **kwargs):
+        """Unsupported: the catalog is immutable after construction."""
+        raise RuntimeError(
+            "a SharedSceneStore is immutable after construction; host the "
+            "changed scene list in a new SharedSceneStore"
         )
-        super().remove_scene(index)
 
-    def _require_gaussians(self, extra: int) -> None:
-        needed = self._num_gaussians + extra
-        if needed > len(self._positions):
-            self._allocate_epoch(
-                max(needed, 2 * len(self._positions)),
-                len(self._start), len(self._poses), self._sh_width,
-            )
-
-    def _require_scenes(self, extra: int) -> None:
-        needed = self._num_scenes + extra
-        if needed > len(self._start):
-            self._allocate_epoch(
-                len(self._positions),
-                max(needed, 2 * len(self._start)),
-                len(self._poses), self._sh_width,
-            )
-
-    def _require_cameras(self, extra: int) -> None:
-        needed = self._num_cameras + extra
-        if needed > len(self._poses):
-            self._allocate_epoch(
-                len(self._positions), len(self._start),
-                max(needed, 2 * len(self._poses)), self._sh_width,
-            )
-
-    def _require_sh_width(self, width: int) -> None:
-        if width > self._sh_width:
-            self._allocate_epoch(
-                len(self._positions), len(self._start), len(self._poses), width
-            )
-
-    def compact(self) -> int:
-        """Trim spare capacity into a right-sized fresh epoch (owner only).
-
-        The shared-tier version of :meth:`SceneStore.compact`: instead of
-        reallocating private arrays it moves the payload into a new,
-        exactly-sized segment and retires the old epoch.  Returns the
-        bytes freed (by :attr:`capacity_bytes` accounting).
-        """
-        self._require_owner()
-        before = self.capacity_bytes
-        width = 1
-        if self._num_scenes:
-            width = max(int(np.max(self._sh_k[: self._num_scenes])), 1)
-        self._allocate_epoch(
-            max(self._num_gaussians, 1),
-            max(self._num_scenes, 1),
-            max(self._num_cameras, 1),
-            width,
-        )
-        return before - self.capacity_bytes
-
-    def save(self, path):
-        """Write the catalog to a plain ``.npz`` archive (format version 2).
-
-        Shared residency is a hosting property, not a format: the archive
-        is byte-identical to saving an equivalent plain store, and loading
-        it back yields a plain store that can re-host anywhere.
-        """
-        self._require_owner()
-        return super().save(path)
+    add_scene = remove_scene = compact = _reject_mutation
 
     # ------------------------------------------------------------------ #
     # Zero-copy routing views
@@ -561,10 +409,6 @@ class SharedStoreView(SceneStore):
     payload; ``remove_scene`` drops one), and pickles as segment handles
     plus indices, so crossing a pipe costs O(metadata).
 
-    Entries are snapshots of spawn/replication time: global indices refer
-    to the catalog epoch the view was built against.  The fleet rebuilds
-    views at respawn and replication time, which is also when a new epoch
-    is picked up.
     """
 
     def __init__(self, entries: Iterable[tuple]):

@@ -8,7 +8,7 @@ Camera poses and intrinsics are flattened the same way.  The layout follows
 the flattened-storage pattern of pyiron's ``StructureContainer``: growing the
 store reallocates capacity geometrically, so adding N scenes costs amortized
 O(total Gaussians), and reading a scene back is a constant-time slice that
-*shares memory* with the store (no copies).
+*shares memory* with the store (no copies) and is read-only.
 
 The store also owns the ``.npz`` persistence format (version 2), which
 supersedes the one-scene archives of :mod:`repro.gaussians.io`;
@@ -26,7 +26,7 @@ Usage::
     store = SceneStore([bicycle_scene, garden_scene])
     store.add_scene(kitchen_scene)
 
-    view = store.get_scene("garden")      # O(1) zero-copy view
+    view = store.get_scene("garden")      # O(1) zero-copy read-only view
     store.save("fleet.npz")               # one archive, all scenes
     store = SceneStore.load("fleet.npz")
 """
@@ -58,6 +58,12 @@ def _grown(array: np.ndarray, rows: int) -> np.ndarray:
     return grown
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    """Mark a freshly sliced view of the flat arrays non-writeable."""
+    view.flags.writeable = False
+    return view
+
+
 def bounding_sphere(positions: np.ndarray):
     """Bounding sphere ``(center, radius)`` of ``(N, 3)`` points.
 
@@ -86,49 +92,41 @@ class SceneStore:
         reloaded = SceneStore.load("scenes.npz")
 
     ``get_scene`` returns :class:`~repro.gaussians.scene.GaussianScene`
-    objects whose cloud arrays are *views* into the store; treat them as
-    read-only.  Like any array-backed container with geometric growth, a
-    later ``add_scene`` may reallocate the flat buffers, at which point
+    objects whose cloud arrays and camera poses are *read-only views* into
+    the store: a write raises ``ValueError`` instead of silently changing
+    the catalog under the frame cache.  Copy an array to modify it.  Like
+    any array-backed container with geometric growth, a later
+    ``add_scene`` may reallocate the flat buffers, at which point
     previously handed-out views keep the (still correct) old buffer but no
     longer share memory with the store — re-fetch views after adding scenes
     if store identity matters.
     """
 
-    def __init__(
-        self,
-        scenes: Optional[Iterable[GaussianScene]] = None,
-        gaussian_capacity: int = 0,
-        scene_capacity: int = 0,
-        camera_capacity: int = 0,
-    ):
+    def __init__(self, scenes: Optional[Iterable[GaussianScene]] = None):
         self._num_scenes = 0
         self._num_gaussians = 0
         self._num_cameras = 0
         self._sh_width = 1
 
-        gaussian_capacity = max(int(gaussian_capacity), 1)
-        scene_capacity = max(int(scene_capacity), 1)
-        camera_capacity = max(int(camera_capacity), 1)
-
         # Per-Gaussian flat arrays (first dimension: total Gaussians).
-        self._positions = np.zeros((gaussian_capacity, 3))
-        self._scales = np.zeros((gaussian_capacity, 3))
-        self._rotations = np.zeros((gaussian_capacity, 4))
-        self._opacities = np.zeros(gaussian_capacity)
-        self._sh = np.zeros((gaussian_capacity, self._sh_width, 3))
+        self._positions = np.zeros((1, 3))
+        self._scales = np.zeros((1, 3))
+        self._rotations = np.zeros((1, 4))
+        self._opacities = np.zeros(1)
+        self._sh = np.zeros((1, self._sh_width, 3))
 
         # Per-scene index arrays (first dimension: scenes).
-        self._start = np.zeros(scene_capacity, dtype=np.int64)
-        self._length = np.zeros(scene_capacity, dtype=np.int64)
-        self._sh_k = np.zeros(scene_capacity, dtype=np.int64)
-        self._cam_start = np.zeros(scene_capacity, dtype=np.int64)
-        self._cam_length = np.zeros(scene_capacity, dtype=np.int64)
+        self._start = np.zeros(1, dtype=np.int64)
+        self._length = np.zeros(1, dtype=np.int64)
+        self._sh_k = np.zeros(1, dtype=np.int64)
+        self._cam_start = np.zeros(1, dtype=np.int64)
+        self._cam_length = np.zeros(1, dtype=np.int64)
         self._names: List[str] = []
         self._descriptors: List[Optional[str]] = []
 
         # Per-camera flat arrays (first dimension: total cameras).
-        self._poses = np.zeros((camera_capacity, 4, 4))
-        self._intrinsics = np.zeros((camera_capacity, CAMERA_FIELDS))
+        self._poses = np.zeros((1, 4, 4))
+        self._intrinsics = np.zeros((1, CAMERA_FIELDS))
 
         if scenes is not None:
             self.extend(scenes)
@@ -446,10 +444,10 @@ class SceneStore:
         return bounding_sphere(self._positions[start:stop])
 
     def get_cloud(self, index: Union[int, str], level: int = 0) -> GaussianCloud:
-        """Cloud of scene ``index`` as views into the flat arrays (O(1)).
+        """Cloud of scene ``index`` as read-only views into the flat arrays.
 
-        Valid until the next growth reallocation (see the class docstring).
-        ``level`` selects a detail level; a plain store only has level 0.
+        O(1); see the class docstring for growth and removal.  ``level``
+        selects a detail level; a plain store only has level 0.
         """
         index = self.resolve_index(index)
         self._check_level(index, level)
@@ -457,15 +455,15 @@ class SceneStore:
         stop = start + self._length[index]
         k = self._sh_k[index]
         return GaussianCloud(
-            positions=self._positions[start:stop],
-            scales=self._scales[start:stop],
-            rotations=self._rotations[start:stop],
-            opacities=self._opacities[start:stop],
-            sh_coeffs=self._sh[start:stop, :k, :],
+            positions=_read_only(self._positions[start:stop]),
+            scales=_read_only(self._scales[start:stop]),
+            rotations=_read_only(self._rotations[start:stop]),
+            opacities=_read_only(self._opacities[start:stop]),
+            sh_coeffs=_read_only(self._sh[start:stop, :k, :]),
         )
 
     def get_cameras(self, index: Union[int, str]) -> List[Camera]:
-        """Cameras of scene ``index`` (poses are views into the store)."""
+        """Cameras of scene ``index`` (poses are read-only store views)."""
         index = self.resolve_index(index)
         start = self._cam_start[index]
         cameras = []
@@ -474,14 +472,14 @@ class SceneStore:
             cameras.append(
                 Camera(
                     width=int(width), height=int(height), fx=fx, fy=fy,
-                    cx=cx, cy=cy, world_to_camera=self._poses[row],
+                    cx=cx, cy=cy, world_to_camera=_read_only(self._poses[row]),
                     znear=znear, zfar=zfar,
                 )
             )
         return cameras
 
     def get_scene(self, index: Union[int, str], level: int = 0) -> GaussianScene:
-        """Scene ``index`` (or name) as a zero-copy view into the store.
+        """Scene ``index`` (or name) as a zero-copy read-only view.
 
         ``level`` selects a detail level; a plain store only has level 0.
         """

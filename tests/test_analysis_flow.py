@@ -19,7 +19,6 @@ from repro.analysis.flow import (
     NORMAL,
     build_flow,
     iter_scopes,
-    projection_root,
     reaches_exit_without,
     taint_names,
     walk_scope,
@@ -193,25 +192,6 @@ class TestTaintAndPaths:
         tainted = taint_names(graph, self._is_get_cloud)
         assert tainted == {"cloud", "alias", "other"}
 
-    def test_projection_taint_is_opt_in(self):
-        source = (
-            "def f(store):\n"
-            "    cloud = store.get_cloud(0)\n"
-            "    positions = cloud.positions\n"
-        )
-        graph, _ = function_graph(source)
-        assert "positions" not in taint_names(graph, self._is_get_cloud)
-        assert "positions" in taint_names(
-            graph, self._is_get_cloud, projections=True
-        )
-
-    def test_projection_root_unwinds_chains(self):
-        expression = ast.parse(
-            "scene.cloud.positions[0]", mode="eval"
-        ).body
-        root = projection_root(expression)
-        assert isinstance(root, ast.Name) and root.id == "scene"
-
     def test_early_return_dodges_cleanup(self):
         graph, function = function_graph(
             "def f(make):\n"
@@ -383,14 +363,9 @@ class TestTotality:
     @settings(max_examples=60, deadline=None)
     @given(snippets())
     def test_dataflow_rules_never_raise(self, source):
-        """The three PR-10 rules degrade to findings-or-nothing, never crash."""
+        """The dataflow rules degrade to findings-or-nothing, never crash."""
         findings = lint_source(
-            source,
-            rules=["resource-lease", "view-mutation", "shm-lifecycle"],
+            source, rules=["resource-lease", "shm-lifecycle"]
         )
         for finding in findings:
-            assert finding.rule in {
-                "resource-lease",
-                "view-mutation",
-                "shm-lifecycle",
-            }
+            assert finding.rule in {"resource-lease", "shm-lifecycle"}

@@ -80,7 +80,6 @@ def test_out_of_core_serving_walkthrough_markers():
         "shared tier: segment repro-shm-",
         "bit-identical frames: True",
         "bytes privately owned (zero-copy)",
-        "reader snapshot intact across the growth epoch: True",
         "paged tier: archive",
         "<= budget: True",
         "bit-identical frames from disk: True",

@@ -1,8 +1,8 @@
 """Tests for the storage tiers: shared-memory catalogs and out-of-core paging.
 
 Covers the residency contract end to end: bit-identical reads per tier,
-zero-copy views and pickled re-attach for the shared tier, copy-on-grow
-epoch safety for concurrent readers, explicit segment lifecycle with a
+read-only views on every tier, zero-copy views and pickled re-attach for
+the write-once shared tier, explicit segment lifecycle with a
 clean ``/dev/shm``, lazy loads under a byte-budgeted LRU for the paged
 tier, verbatim round trips of quantized payloads through the version-4
 archive, and the :func:`~repro.serving.storage.host_store` entry point.
@@ -17,6 +17,7 @@ import pytest
 from repro.compression import CompressedSceneStore, load_store
 from repro.gaussians.synthetic import SyntheticConfig, make_synthetic_scene
 from repro.serving import RenderRequest, RenderService, ShardedRenderService
+from repro.serving.storage import shared as shared_module
 from repro.serving.storage import (
     PagedSceneStore,
     SharedSceneStore,
@@ -130,51 +131,27 @@ class TestSharedSceneStore:
             reader.close()
 
     def test_owner_views_are_writable_reader_views_are_not(self, shared):
+        """Neither is writeable: the catalog is write-once on both sides."""
         reader = pickle.loads(pickle.dumps(shared))
         try:
-            assert shared._positions.flags.writeable
-            assert not reader._positions.flags.writeable
-            with pytest.raises(ValueError):
-                # Deliberate contract probe: the write must raise.
-                reader.get_cloud(0).positions[0] = 0.0  # repro: ignore[view-mutation]
+            for store in (shared, reader):
+                assert not store._positions.flags.writeable
+                with pytest.raises(ValueError):
+                    store.get_cloud(0).positions[0] = 0.0
         finally:
             reader.close()
 
-    def test_copy_on_grow_preserves_reader_snapshot(self, shared):
-        reader = pickle.loads(pickle.dumps(shared))
-        try:
-            old_name = shared.segment_name
-            snapshot = [
-                reader.get_cloud(i).positions.copy()
-                for i in range(len(reader))
-            ]
-            shared.add_scene(_scene(99, num_gaussians=800, name="grown"))
-            assert shared.segment_name != old_name
-            assert not os.path.exists(f"/dev/shm/{old_name}")
-            # The reader's epoch mapping stays alive and untorn.
-            for i, expected in enumerate(snapshot):
-                assert np.array_equal(
-                    reader.get_cloud(i).positions, expected
-                )
-            # A stale handle no longer attaches.
-            with pytest.raises(FileNotFoundError):
-                SharedSceneStore.attach(reader.handle())
-            shared.remove_scene("grown")
-        finally:
-            reader.close()
+    def test_owner_rejects_mutation(self, shared):
+        with pytest.raises(RuntimeError):
+            shared.add_scene(_scene(77))
+        with pytest.raises(RuntimeError):
+            shared.remove_scene(0)
+        with pytest.raises(RuntimeError):
+            shared.compact()
+        assert len(shared) == 5
 
-    def test_remove_scene_and_compact_shrink_segment(self, scenes):
-        with SharedSceneStore(scenes) as catalog:
-            big = catalog.segment_bytes
-            for name in list(catalog.names)[1:]:
-                catalog.remove_scene(name)
-            catalog.compact()
-            assert len(catalog) == 1
-            assert catalog.segment_bytes < big
-            assert catalog.capacity_bytes == catalog.nbytes
-            _assert_clouds_identical(
-                catalog.get_cloud(0), SceneStore([scenes[0]]).get_cloud(0)
-            )
+    def test_segment_is_sized_exactly(self, plain, shared):
+        assert shared.capacity_bytes == plain.nbytes
 
     def test_save_roundtrip_via_plain_archive(self, plain, shared, tmp_path):
         path = shared.save(tmp_path / "shared.npz")
@@ -188,7 +165,6 @@ class TestSharedSceneStore:
         baseline = _segments()
         catalog = SharedSceneStore(scenes)
         reader = pickle.loads(pickle.dumps(catalog))
-        catalog.add_scene(_scene(50, num_gaussians=300))
         reader.close()
         catalog.close()
         assert _segments() == baseline
@@ -243,6 +219,64 @@ class TestSharedStoreView:
         assert narrowed.names == ["scene-2", "scene-0"]
         _assert_clouds_identical(
             narrowed.get_cloud(0), plain.get_cloud(2)
+        )
+
+
+TIERS = ("plain", "shared-owner", "shared-reader", "shared-view", "paged-raw")
+
+
+@pytest.fixture(params=TIERS)
+def aliasing_store(request, scenes, plain, tmp_path):
+    """Each tier whose handed-out arrays alias store memory."""
+    if request.param == "plain":
+        yield plain
+    elif request.param == "paged-raw":
+        yield PagedSceneStore(write_paged(plain, tmp_path / "store"))
+    else:
+        with SharedSceneStore(scenes) as catalog:
+            if request.param == "shared-owner":
+                yield catalog
+            elif request.param == "shared-view":
+                yield catalog.build_substore([3, 1])
+            else:
+                reader = SharedSceneStore.attach(catalog.handle())
+                try:
+                    yield reader
+                finally:
+                    reader.close()
+
+
+class TestReadOnlyViews:
+    def test_every_handed_out_array_is_read_only(self, aliasing_store):
+        for index in range(len(aliasing_store)):
+            scene = aliasing_store.get_scene(index)
+            cameras = aliasing_store.get_cameras(index) + scene.cameras
+            arrays = [camera.world_to_camera for camera in cameras]
+            for cloud in (aliasing_store.get_cloud(index), scene.cloud):
+                arrays += [
+                    cloud.positions, cloud.scales, cloud.rotations,
+                    cloud.opacities, cloud.sh_coeffs,
+                ]
+            for array in arrays:
+                # Checked before the write so a writeable view fails here
+                # instead of corrupting the module-scoped catalog.
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
+
+    def test_service_catalog_write_raises_and_cache_is_intact(self, scenes):
+        service = RenderService(SceneStore(scenes))
+        request = RenderRequest(
+            scene_id=0, camera=service.store.get_cameras(0)[0]
+        )
+        first = service.submit(request)
+        with pytest.raises(ValueError):
+            service.store.get_cloud(0).positions[0] = 0.0
+        again = service.submit(request)
+        assert again.from_cache
+        assert again.image.tobytes() == first.image.tobytes()
+        assert np.array_equal(
+            service.store.get_cloud(0).positions, scenes[0].cloud.positions
         )
 
 
@@ -464,6 +498,33 @@ class TestHostStore:
         compressed = CompressedSceneStore(scenes, codec="int8", levels=2)
         with pytest.raises(ValueError, match="paged"):
             host_store(compressed, "shared")
+
+    def test_shared_tier_rejects_paged_compressed(self, scenes, tmp_path):
+        """Hosting a quantized paged catalog would decode away its LODs."""
+        compressed = CompressedSceneStore(scenes, codec="int8", levels=3)
+        paged = PagedSceneStore(write_paged(compressed, tmp_path / "store"))
+        assert paged.num_levels(0) == 3
+        with pytest.raises(ValueError, match="paged"):
+            host_store(paged, "shared")
+
+    def test_hosting_creates_exactly_one_segment(self, monkeypatch):
+        created = []
+        real_shared_memory = shared_module.SharedMemory
+
+        def counting_shared_memory(*args, **kwargs):
+            segment = real_shared_memory(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(segment.name)
+            return segment
+
+        monkeypatch.setattr(
+            shared_module, "SharedMemory", counting_shared_memory
+        )
+        catalog = SceneStore(
+            _scene(seed, num_gaussians=20) for seed in range(16)
+        )
+        with host_store(catalog, "shared") as lease:
+            assert created == [lease.store.segment_name]
 
     def test_paged_tier_temporary_archive(self, plain):
         with host_store(plain, "paged", memory_budget=1 << 20) as lease:
