@@ -2,16 +2,15 @@
 
 The linter runs on every CI build over the whole tree, so its wall time is
 part of the build budget.  Two scopes are timed: the ``src/repro`` package
-alone (parse, all rules, cross-file ``RenderRequest`` resolution, CFG
-construction for the dataflow rules), and the full CI
-scope — src + examples + tests + benchmarks with the
+alone (parse, all rules, cross-file ``RenderRequest`` resolution), and
+the full CI scope — src + examples + tests + benchmarks with the
 deliberately-violating lint fixtures excluded.  Both assert the perf bar
 *and* the CI gate property itself (zero findings on the live tree): a
 benchmark that is fast but finds violations means a regression landed
 without the lint gate catching it locally.
 
-Acceptance bar: either run stays under ``MAX_SECONDS`` (measured ~1.6 s
-for ~108 files and ~2.8 s for ~180 with the dataflow rules; the bound is
+Acceptance bar: either run stays under ``MAX_SECONDS`` (measured ~0.7 s
+for ~94 files and ~1.5 s for ~176 on a 2-core x86-64 host; the bound is
 deliberately loose for slow CI runners, and
 ``REPRO_RELAX_PERF_ASSERTS=1`` relaxes it entirely).
 """
@@ -69,9 +68,8 @@ def test_bench_full_tree_lint(benchmark, record_info):
 def test_bench_ci_scope_lint(benchmark, record_info):
     """Lint the widened CI scope (tests + benchmarks, fixtures excluded).
 
-    This is the exact per-build cost of the lint step after PR-10 grew
-    the scope and added the CFG/dataflow rule families; it must stay
-    under the same bar as the package-only run.
+    This is the exact per-build cost of the lint step over its widened
+    scope; it must stay under the same bar as the package-only run.
     """
     findings, num_files = benchmark(
         lint_paths, CI_SCOPE, exclude=("fixtures",)

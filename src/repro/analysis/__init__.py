@@ -4,10 +4,8 @@ The serving stack rests on contracts that used to be enforced only by
 convention — and PRs 4/5 each paid for a violation after the fact (cache
 keys retrofitted with ``level``; a ~6-second dataclass repr of gathered
 frames).  This package machine-checks those contracts at CI time with a
-small static-analysis framework (stdlib ``ast`` only) — since PR 10 with
-a per-function dataflow engine (:mod:`repro.analysis.flow`: CFGs, forward
-alias tracking, may-leak path queries) underneath — and seven rule
-families targeting the codebase's proven bug classes:
+small static-analysis framework (stdlib ``ast`` only) and five rules
+targeting the codebase's proven bug classes:
 
 * ``determinism`` — all randomness must flow through explicitly seeded
   ``np.random.Generator`` objects (seeded replay and golden tests depend
@@ -20,16 +18,14 @@ families targeting the codebase's proven bug classes:
   block the event loop, and instance state must not be read before an
   ``await`` and written back after it without an ``asyncio.Lock``;
 * ``repr-hygiene`` — dataclass ndarray fields must be ``repr=False`` (or
-  the class must define ``__repr__``);
-* ``shm-lifecycle`` — every ``SharedMemory(...)`` creation must pair with
-  ``close()``/``unlink()`` in a ``finally``/context manager or register a
-  finalizer (leaked segments survive process death under ``/dev/shm``);
-* ``resource-lease`` — storage leases, pipe ends, process handles and
-  files must reach ``close()``/``join()``/a ``with`` block/an ownership
-  transfer on every non-exceptional path (CFG-based may-leak analysis).
+  the class must define ``__repr__``).
 
-Read-only scene views need no rule: scene stores hand out non-writeable
-arrays, so a write through a view raises at run time.
+Contracts that an owning object can enforce need no rule.  Scene stores
+hand out non-writeable arrays, so a write through a view raises at run
+time.  Shared-memory segments, storage leases and worker processes are
+released by their owners' finalizers and ``close()`` methods, and the
+test session fails any test that leaves a child process, a
+``/dev/shm`` segment or an unclosed file (``ResourceWarning``) behind.
 
 Entry points: ``repro lint`` (CLI subcommand), ``python -m
 repro.analysis``, or the library API below.  Suppressions:
@@ -68,11 +64,8 @@ from repro.analysis.core import (
 from repro.analysis import asyncsafety     # noqa: F401
 from repro.analysis import cachekeys       # noqa: F401
 from repro.analysis import determinism     # noqa: F401
-from repro.analysis import leases          # noqa: F401
 from repro.analysis import reprhygiene     # noqa: F401
-from repro.analysis import shmlifecycle    # noqa: F401
 
-from repro.analysis import flow            # noqa: F401
 from repro.analysis.report import (
     JSON_SCHEMA_VERSION,
     render_github,
@@ -89,7 +82,6 @@ __all__ = [
     "Project",
     "RULES",
     "Rule",
-    "flow",
     "lint_modules",
     "lint_paths",
     "lint_source",

@@ -149,27 +149,6 @@ class Project:
     def __init__(self, modules: Sequence[ParsedModule]):
         self.modules = list(modules)
         self._class_cache: Dict[str, Optional[ast.ClassDef]] = {}
-        self._flow_cache: Dict[int, object] = {}
-
-    def flow(self, scope):
-        """The :class:`~repro.analysis.flow.FlowGraph` of one scope, cached.
-
-        ``scope`` is a module tree or a (sync or async) function definition
-        node from one of the project's modules; every rule invocation in
-        one lint run shares the graph.
-        """
-        from repro.analysis import flow as _flow
-
-        key = id(scope)
-        if key not in self._flow_cache:
-            self._flow_cache[key] = _flow.FlowGraph(scope)
-        return self._flow_cache[key]
-
-    def scopes(self, module: "ParsedModule"):
-        """Every scope of a module (the module itself, then each function)."""
-        from repro.analysis import flow as _flow
-
-        return _flow.iter_scopes(module.tree)
 
     def find_class(self, name: str) -> Optional[ast.ClassDef]:
         """First class definition named ``name`` across the project.

@@ -63,8 +63,9 @@ Eight subcommands cover the library's main flows::
                          [--update-baseline] [--exclude NAME]
                          [--list-rules]
         Run the AST-based invariant linter (repro.analysis) over the tree:
-        determinism, cache-key completeness, async-safety, repr-hygiene,
-        shm-lifecycle, resource-lease.
+        determinism, cache-key completeness, async-safety, repr-hygiene.
+        Resource lifetimes (segments, leases, processes, files) are owned
+        by objects and checked at run time by the test session, not linted.
         Exits 0 when clean, 1 on findings, 2 on analyzer-internal errors;
         --update-baseline rewrites the baseline to the current findings
         (pruning stale fingerprints) and exits 0.

@@ -24,8 +24,10 @@ flag: it re-hosts an in-memory store on the requested tier and returns a
 
 from __future__ import annotations
 
+import functools
 import shutil
 import tempfile
+import weakref
 from typing import Callable, Optional, Union
 
 from repro.serving.store import SceneStore
@@ -59,22 +61,25 @@ def _is_quantized(store: SceneStore) -> bool:
 class StorageLease:
     """An opened storage tier plus ownership of its lifetime.
 
-    ``store`` is ready to serve from; :meth:`close` releases whatever the
-    lease created (a shared segment, a temporary paged directory) and is
-    idempotent.  A lease over a store that was already on the requested
-    tier owns nothing and its ``close`` is a no-op — the caller keeps
+    ``store`` is ready to serve from.  The tier's cleanup (unlinking a
+    shared segment, removing a temporary paged directory) is registered
+    as a ``weakref.finalize`` on the hosted store, so it runs at most
+    once: on :meth:`close`, or when the last reference to the store is
+    dropped.  A lease over a store that was already on the requested tier
+    owns nothing and its ``close`` is a no-op — the caller keeps
     responsibility for stores it built itself.
     """
 
     def __init__(self, store: SceneStore, cleanup: Optional[Callable] = None):
         self.store = store
-        self._cleanup = cleanup
+        self._finalizer = (
+            None if cleanup is None else weakref.finalize(store, cleanup)
+        )
 
     def close(self) -> None:
         """Release everything this lease created (idempotent)."""
-        cleanup, self._cleanup = self._cleanup, None
-        if cleanup is not None:
-            cleanup()
+        if self._finalizer is not None:
+            self._finalizer()
 
     def __enter__(self) -> "StorageLease":
         """Context-managed tier lifetime."""
@@ -129,7 +134,8 @@ def host_store(
                 "quantized payload verbatim"
             )
         shared = SharedSceneStore(store.get_scene(i) for i in range(len(store)))
-        return StorageLease(shared, cleanup=shared.close)
+        # The store's own segment finalizer; calling it unlinks the segment.
+        return StorageLease(shared, cleanup=shared._finalizer)
     if storage == "paged":
         if isinstance(store, PagedSceneStore):
             if memory_budget is None or memory_budget == store.memory_budget:
@@ -144,13 +150,12 @@ def host_store(
             return StorageLease(PagedSceneStore(path, memory_budget=budget))
         tempdir = tempfile.mkdtemp(prefix="repro-paged-")
         path = write_paged(store, tempdir)
-        paged = PagedSceneStore(path, memory_budget=budget)
-
-        def _cleanup() -> None:
-            """Drop the temporary archive (open mmaps stay valid on POSIX)."""
-            shutil.rmtree(tempdir, ignore_errors=True)
-
-        return StorageLease(paged, cleanup=_cleanup)
+        # Closes over the path only, so the finalizer never pins the store
+        # (open mmaps stay valid on POSIX after the directory is gone).
+        return StorageLease(
+            PagedSceneStore(path, memory_budget=budget),
+            cleanup=functools.partial(shutil.rmtree, tempdir, ignore_errors=True),
+        )
     raise ValueError(
         f"unknown storage tier {storage!r}; choose from {STORAGE_TIERS}"
     )

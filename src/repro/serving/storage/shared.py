@@ -160,14 +160,13 @@ def _attach_segment(name: str) -> SharedMemory:
         original = resource_tracker.register
         resource_tracker.register = lambda *args, **kwargs: None
         try:
-            # Lifecycle owned by the caller, which registers a finalizer;
-            # the may-leak engine reads the return as ownership transfer.
+            # Lifecycle owned by the caller, which registers a finalizer.
             return SharedMemory(name=name)
         finally:
             resource_tracker.register = original
 
 
-def _release_segment(segment: Optional[SharedMemory], unlink: bool,
+def _release_segment(segment: SharedMemory, unlink: bool,
                      owner_pid: Optional[int] = None) -> None:
     """Detach (and, for the owning process, delete) one segment.
 
@@ -177,8 +176,6 @@ def _release_segment(segment: Optional[SharedMemory], unlink: bool,
     ``/dev/shm`` clean) succeeds regardless.  ``owner_pid`` guards unlink
     against forked children that inherited an owner object.
     """
-    if segment is None:
-        return
     try:
         segment.close()
     except (BufferError, ValueError):
@@ -282,12 +279,12 @@ class SharedSceneStore(SceneStore):
     @property
     def segment_name(self) -> Optional[str]:
         """Name of the hosting segment (``None`` once closed)."""
-        return self._segment.name if self._segment is not None else None
+        return self._segment.name if self._finalizer.alive else None
 
     @property
     def segment_bytes(self) -> int:
         """Allocated bytes of the segment (0 once closed)."""
-        return self._segment.size if self._segment is not None else 0
+        return self._segment.size if self._finalizer.alive else 0
 
     @property
     def is_owner(self) -> bool:
@@ -296,7 +293,7 @@ class SharedSceneStore(SceneStore):
 
     def handle(self) -> SharedStoreHandle:
         """Picklable pointer to the catalog (for readers to attach)."""
-        if self._segment is None:
+        if not self._finalizer.alive:
             raise RuntimeError("shared scene store is closed")
         return SharedStoreHandle(
             segment=self._segment.name,
@@ -347,20 +344,15 @@ class SharedSceneStore(SceneStore):
     def close(self) -> None:
         """Detach the mapping; the owner also unlinks the segment.
 
-        Idempotent.  Views already handed out keep the old pages alive
+        Idempotent: the release is the store's finalizer, which runs at
+        most once.  Views already handed out keep the old pages alive
         until they are garbage collected, but the segment *name* is gone
         immediately (nothing is left under ``/dev/shm``), which is the
         cleanliness property the chaos tests assert.
         """
-        if self._segment is None:
-            return
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
         for field_name, _ in _FIELD_AXES:
             setattr(self, field_name, None)
-        _release_segment(self._segment, unlink=self._owner, owner_pid=self._pid)
-        self._segment = None
+        self._finalizer()
 
     def __enter__(self) -> "SharedSceneStore":
         """Context-managed hosting: the segment is released on exit."""

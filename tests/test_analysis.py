@@ -11,6 +11,7 @@ asserting that the live ``src/repro`` + ``examples`` trees stay clean
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 
@@ -38,8 +39,6 @@ RULE_IDS = (
     "async-blocking",
     "async-state",
     "repr-hygiene",
-    "shm-lifecycle",
-    "resource-lease",
 )
 
 #: fixture stem -> the single rule its findings must all carry.
@@ -49,8 +48,6 @@ BAD_FIXTURES = {
     "bad_async_blocking": "async-blocking",
     "bad_async_state": "async-state",
     "bad_repr": "repr-hygiene",
-    "bad_shm_lifecycle": "shm-lifecycle",
-    "bad_resource_lease": "resource-lease",
 }
 
 GOOD_FIXTURES = (
@@ -59,8 +56,6 @@ GOOD_FIXTURES = (
     "good_async_blocking",
     "good_async_state",
     "good_repr",
-    "good_shm_lifecycle",
-    "good_resource_lease",
 )
 
 
@@ -195,13 +190,13 @@ class TestReporters:
 
     def test_github_format_emits_workflow_commands(self):
         finding = Finding(
-            rule="shm-lifecycle", path="src/a.py", line=7, col=2,
+            rule="cache-key", path="src/a.py", line=7, col=2,
             message="bad, very: 100% wrong\nsecond line",
         )
         report = render_github([finding], num_files=1)
         command = report.splitlines()[0]
         assert command.startswith(
-            "::error file=src/a.py,line=7,col=2,title=shm-lifecycle::"
+            "::error file=src/a.py,line=7,col=2,title=cache-key::"
         )
         # Workflow-command escaping: %, newline in data; the summary line
         # stays plain text.
@@ -236,7 +231,7 @@ class TestBaseline:
 
         exit_code = run(
             paths=[str(bad)], baseline=str(baseline_path),
-            stream=open("/dev/null", "w"),
+            stream=io.StringIO(),
         )
         assert exit_code == 0
 
@@ -246,7 +241,7 @@ class TestBaseline:
         exit_code = run(
             paths=[str(FIXTURES / "bad_determinism.py")],
             baseline=str(baseline_path),
-            stream=open("/dev/null", "w"),
+            stream=io.StringIO(),
         )
         assert exit_code == 1
 
@@ -272,7 +267,7 @@ class TestUpdateBaseline:
         assert run(
             paths=[str(FIXTURES / "bad_determinism.py")],
             baseline=str(baseline_path),
-            stream=open("/dev/null", "w"),
+            stream=io.StringIO(),
         ) == 0
 
     def test_update_prunes_stale_entries_and_warns(self, tmp_path, capsys):
@@ -292,7 +287,7 @@ class TestUpdateBaseline:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "clean.py").write_text("x = 1\n")
         assert run(paths=["clean.py"], update_baseline=True,
-                   stream=open("/dev/null", "w")) == 0
+                   stream=io.StringIO()) == 0
         assert json.loads(
             (tmp_path / "lint-baseline.json").read_text()
         )["fingerprints"] == []
@@ -321,11 +316,11 @@ class TestUpdateBaseline:
         baseline_path = tmp_path / "baseline.json"
         assert run(paths=[str(broken)], baseline=str(baseline_path),
                    update_baseline=True,
-                   stream=open("/dev/null", "w")) == 0
+                   stream=io.StringIO()) == 0
         assert json.loads(baseline_path.read_text())["fingerprints"] == []
         # The broken file keeps failing the build despite the refresh.
         assert run(paths=[str(broken)], baseline=str(baseline_path),
-                   stream=open("/dev/null", "w")) == 1
+                   stream=io.StringIO()) == 1
 
 
 class TestEncoding:

@@ -8,8 +8,11 @@ tier, verbatim round trips of quantized payloads through the version-4
 archive, and the :func:`~repro.serving.storage.host_store` entry point.
 """
 
+import gc
+import glob
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -535,6 +538,23 @@ class TestHostStore:
                 paged.get_cloud(0), plain.get_cloud(0)
             )
         assert not os.path.exists(path)
+
+    def test_dropped_paged_lease_removes_its_temp_dir(self, plain):
+        """The temp dir lives exactly as long as someone holds the store."""
+        pattern = os.path.join(tempfile.gettempdir(), "repro-paged-*")
+        before = set(glob.glob(pattern))
+        lease = host_store(plain, "paged")
+        paged = lease.store
+        (tempdir,) = set(glob.glob(pattern)) - before
+        del lease
+        gc.collect()
+        for index in range(len(plain)):
+            _assert_clouds_identical(
+                paged.get_cloud(index), plain.get_cloud(index)
+            )
+        del paged
+        gc.collect()
+        assert not os.path.exists(tempdir)
 
     def test_paged_tier_workdir_left_in_place(self, plain, tmp_path):
         workdir = tmp_path / "archive"
