@@ -21,10 +21,12 @@ Two interchangeable backends implement the per-tile loop:
 * ``"scalar"`` — the original per-Gaussian Python loop
   (:func:`rasterize_tile`), kept as the readable golden model;
 * ``"vectorized"`` — a chunked engine (:func:`rasterize_tile_vectorized`)
-  that evaluates blocks of Gaussians against all tile pixels at once and
-  folds them with sequential ``cumprod``/``add.reduce`` passes, producing
-  **bit-identical** FP64 images and identical :class:`RasterStats` while
-  amortising the NumPy dispatch overhead over whole blocks.
+  that first culls the tile's Gaussians whose alpha bound over the tile
+  (:func:`alpha_upper_bound`) is below ``1/255``, then evaluates blocks of
+  the rest against all tile pixels at once and folds them with sequential
+  ``cumprod``/``add.reduce`` passes, producing **bit-identical** FP64
+  images and identical :class:`RasterStats` while amortising the NumPy
+  dispatch overhead over whole blocks.
 
 Both backends are dispatched through :func:`rasterize_tiles` via its
 ``backend`` parameter; ``tests/test_vectorized_equivalence.py`` pins the
@@ -209,6 +211,121 @@ def gaussian_alpha_block(
     return np.minimum(alpha, ALPHA_MAX)
 
 
+#: FP64 unit roundoff: every correctly rounded operation has relative
+#: error at most this.
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+#: Roundings behind the relative margin on the box minimum ``qmin``, per
+#: unit of the conic's conditioning ``kappa = 4ac / (ac - b^2)``.  Write
+#: the quadratic form as ``q = A + C + 2B`` with ``A = a dx^2``,
+#: ``C = c dy^2`` and ``B = b dx dy``.  For a positive-definite conic
+#: ``|2B| <= rho (A + C)`` with ``rho = |b| / sqrt(ac)``, so
+#: ``A + C + 2|B| <= q (1 + rho) / (1 - rho) <= kappa q``.  Every rounding
+#: below perturbs one of ``A``, ``C``, ``B`` (or their sum) relatively, so
+#: its error is a ``gamma`` multiple of ``kappa q``:
+#:
+#: * 4 — the pixel's power ``-0.5 * (a * dx ** 2 + c * dy ** 2) - b * dx *
+#:   dy`` (two roundings per term, one for the inner sum, one for the final
+#:   subtraction; the ``-0.5`` scaling is exact);
+#: * 4 — the same count for evaluating ``q`` at an edge minimiser;
+#: * 1 — the rounded edge minimiser lies off the exact one by ``gamma_2``
+#:   relative, which raises ``q`` by at most ``gamma_2^2 kappa q``;
+#: * 2 — forming ``qmin * (1 - margin)``;
+#: * 1 — computing ``kappa`` itself.
+#:
+#: ``n`` roundings give Higham's ``gamma_n = n u / (1 - n u)``.  The pixel
+#: deltas themselves carry no error term: rounding is monotone, so each
+#: pixel's computed ``(dx, dy)`` lies inside the box spanned by the computed
+#: deltas of the extreme pixel centres, which is the box minimised over.
+_QMIN_MARGIN_ROUNDINGS = 12
+_QMIN_MARGIN = (
+    _QMIN_MARGIN_ROUNDINGS * _UNIT_ROUNDOFF
+    / (1.0 - _QMIN_MARGIN_ROUNDINGS * _UNIT_ROUNDOFF)
+)
+
+#: Relative slack on the final bound ``opacity * exp(-qmin / 2)``.  NumPy
+#: documents its float64 ``exp`` to within 4 ulp (8 unit roundoffs); the
+#: pixel's ``opacity * exp(power)`` and the bound each take one such ``exp``
+#: plus one rounded product, and the slack product one more rounding:
+#: ``(1 + 8u)(1 + u) <= (1 - 8u)(1 - u)^2 (1 + s)`` holds for ``s >= 19u``;
+#: ``32u`` is the next power of two.
+_BOUND_SLACK = 1.0 + 32 * _UNIT_ROUNDOFF
+
+
+def alpha_upper_bound(
+    pixel_centers: np.ndarray,
+    means: np.ndarray,
+    conics: np.ndarray,
+    opacities: np.ndarray,
+) -> np.ndarray:
+    """Upper-bound each splat's alpha over the pixels' bounding box.
+
+    For splat ``i`` the bound is ``opacities[i] * exp(-0.5 * qmin)``, where
+    ``qmin`` is the minimum of the conic's quadratic form over the box
+    spanned by ``pixel_centers``: 0 if the mean lies inside the box,
+    otherwise the smallest of the four edges' minima (each a 1-D quadratic
+    minimised in closed form and clipped to the edge).  ``qmin`` is shrunk
+    by a margin derived from FP64 rounding (see ``_QMIN_MARGIN_ROUNDINGS``),
+    so the bound holds for the alpha :func:`gaussian_alpha` and
+    :func:`gaussian_alpha_block` actually *compute*: whenever the bound is
+    below ``ALPHA_SKIP_THRESHOLD`` no pixel of the box passes the
+    threshold.
+
+    A splat whose mean, conic or opacity is not finite, or whose conic is
+    not provably strictly positive definite, gets the bound ``+inf`` (it
+    is always kept).
+
+    Parameters
+    ----------
+    pixel_centers:
+        ``(P, 2)`` pixel-centre coordinates, ``P >= 1``.
+    means, conics, opacities:
+        ``(B, 2)``, ``(B, 3)`` and ``(B,)`` splat parameters.
+
+    Returns
+    -------
+    ``(B,)`` alpha upper bounds.
+    """
+    a, b, c = conics[:, 0], conics[:, 1], conics[:, 2]
+    with np.errstate(all="ignore"):
+        # The same subtraction the alpha kernels perform, at the extreme
+        # pixel centres: the box of every pixel's computed delta.
+        dx_lo = pixel_centers[:, 0].min() - means[:, 0]
+        dx_hi = pixel_centers[:, 0].max() - means[:, 0]
+        dy_lo = pixel_centers[:, 1].min() - means[:, 1]
+        dy_hi = pixel_centers[:, 1].max() - means[:, 1]
+
+        # Positive definiteness with room for the rounding of a*c - b*b
+        # (its error is below 4.01 u * ac).
+        ac = a * c
+        det_lo = (ac - b * b) - 8 * _UNIT_ROUNDOFF * ac
+        valid = (
+            np.isfinite(conics).all(axis=1)
+            & np.isfinite(means).all(axis=1)
+            & np.isfinite(opacities)
+            & (a > 0.0)
+            & (c > 0.0)
+            & (det_lo > 0.0)
+        )
+
+        # Vertical edges (dx fixed): q is minimised at dy = -b dx / c;
+        # horizontal edges (dy fixed): at dx = -b dy / a.
+        edge_dx = np.stack([dx_lo, dx_hi])
+        edge_dy = np.stack([dy_lo, dy_hi])
+        dx = np.concatenate([edge_dx, np.clip(-(b * edge_dy) / a, dx_lo, dx_hi)])
+        dy = np.concatenate([np.clip(-(b * edge_dx) / c, dy_lo, dy_hi), edge_dy])
+        q = (a * dx ** 2 + c * dy ** 2) + 2.0 * (b * dx * dy)
+        qmin = q.min(axis=0)
+        inside = (dx_lo <= 0.0) & (dx_hi >= 0.0) & (dy_lo <= 0.0) & (dy_hi >= 0.0)
+        qmin[inside] = 0.0
+
+        margin = _QMIN_MARGIN * (4.0 * ac / det_lo)
+        qsafe = np.maximum(qmin * (1.0 - margin), 0.0)
+        bound = opacities * np.exp(-0.5 * qsafe) * _BOUND_SLACK
+    bound[~valid | np.isnan(bound)] = np.inf
+    return bound
+
+
 def rasterize_tile(
     projected: ProjectedGaussians,
     gaussian_indices: np.ndarray,
@@ -282,7 +399,7 @@ def rasterize_tile_vectorized(
 
     Produces output and statistics **bit-identical** to
     :func:`rasterize_tile` while replacing the per-Gaussian Python loop with
-    block-level NumPy passes.  Three observations make exact equivalence
+    block-level NumPy passes.  Four observations make exact equivalence
     possible:
 
     * the alpha matrix of a block is elementwise, so batching it changes
@@ -299,7 +416,15 @@ def rasterize_tile_vectorized(
     * colour accumulation is a left-to-right sum of ``T * alpha * colour``
       terms, and ``np.add.reduce`` along the leading axis performs the same
       sequential fold (terms with zero weight are exact no-ops, matching
-      the scalar loop's skip of non-contributing Gaussians).
+      the scalar loop's skip of non-contributing Gaussians);
+    * culled rows are exact no-ops.  Before chunking, every row whose
+      :func:`alpha_upper_bound` over the tile's pixel box is below
+      ``ALPHA_SKIP_THRESHOLD`` is dropped: at no pixel can it pass the
+      threshold, so in the scalar loop it multiplies transmittance by
+      exactly 1.0 and adds exactly 0.  Its only trace is its
+      ``fragments_evaluated`` share, the count of pixels still active when
+      it is reached, which is the trail row after the last kept Gaussian
+      before it (every pixel before the first kept row).
 
     Between blocks the engine narrows the pixel set to the columns whose
     transmittance is still above epsilon: terminated pixels can never
@@ -310,22 +435,39 @@ def rasterize_tile_vectorized(
     zero to both the image and the counters.
     """
     num_pixels = len(pixel_centers)
-    color = np.zeros((num_pixels, 3), dtype=np.float64)
+    # Colour is kept channel-major, (3, P), so the block fold below
+    # multiplies and sums unit-stride pixel rows.
+    color = np.zeros((3, num_pixels), dtype=np.float64)
     transmittance = np.ones(num_pixels, dtype=np.float64)
+    background = np.asarray(background)
     gaussian_indices = np.asarray(gaussian_indices, dtype=np.int64)
     num_gaussians = len(gaussian_indices)
 
-    if num_gaussians == 0:
-        color += transmittance[:, np.newaxis] * background
+    if num_gaussians == 0 or num_pixels == 0:
+        color += background[:, np.newaxis] * transmittance
         if stats is not None:
             stats.tiles_processed += 1
-        return color
+        return np.ascontiguousarray(color.T)
 
-    # Gather the tile's Gaussian parameters once; chunks below take views.
+    # Gather the tile's Gaussian parameters once, then keep only the rows
+    # whose alpha bound over the tile reaches the threshold; chunks below
+    # take views of the kept rows.
     means = projected.means[gaussian_indices]
     conics = projected.cov_inverses[gaussian_indices]
     opacities = projected.opacities[gaussian_indices]
-    colors = projected.colors[gaussian_indices]
+    kept = np.flatnonzero(
+        alpha_upper_bound(pixel_centers, means, conics, opacities)
+        >= ALPHA_SKIP_THRESHOLD
+    )
+    # Culled rows before the first kept row see every pixel active; those
+    # after kept row j see the pixels active after it (gap_after[j] rows).
+    evaluated = (int(kept[0]) if len(kept) else num_gaussians) * num_pixels
+    gap_after = np.diff(kept, append=num_gaussians) - 1
+    means = means[kept]
+    conics = conics[kept]
+    opacities = opacities[kept]
+    colors = projected.colors[gaussian_indices[kept]]
+    num_kept = len(kept)
 
     # Columns (pixels) still accumulating; whole arrays while all are live.
     live = np.arange(num_pixels)
@@ -334,8 +476,7 @@ def rasterize_tile_vectorized(
     live_color = color
 
     blended = 0
-    evaluated = 0
-    for start in range(0, num_gaussians, chunk_size):
+    for start in range(0, num_kept, chunk_size):
         still_live = live_transmittance >= TRANSMITTANCE_EPSILON
         num_live = int(np.count_nonzero(still_live))
         if num_live == 0:
@@ -343,13 +484,13 @@ def rasterize_tile_vectorized(
         if num_live < len(live):
             # Freeze the dropped columns' state before narrowing.
             transmittance[live] = live_transmittance
-            color[live] = live_color
+            color[:, live] = live_color
             live = live[still_live]
             live_pixels = pixel_centers[live]
             live_transmittance = live_transmittance[still_live]
-            live_color = live_color[still_live]
+            live_color = live_color[:, still_live]
 
-        stop = min(start + chunk_size, num_gaussians)
+        stop = min(start + chunk_size, num_kept)
         block_size = stop - start
 
         alpha = gaussian_alpha_block(
@@ -368,9 +509,14 @@ def rasterize_tile_vectorized(
         np.cumprod(trail, axis=0, out=trail)
         before = trail[:-1]
 
-        active = before >= TRANSMITTANCE_EPSILON
+        # Row i + 1 of the activity mask is also the activity every culled
+        # row between kept rows i and i + 1 sees.
+        trail_active = trail >= TRANSMITTANCE_EPSILON
+        active_counts = np.count_nonzero(trail_active, axis=1)
+        active = trail_active[:-1]
         contributes = np.logical_and(active, passes)
-        evaluated += int(np.count_nonzero(active))
+        evaluated += int(active_counts[:-1].sum())
+        evaluated += int(active_counts[1:] @ gap_after[start:stop])
         blended += int(np.count_nonzero(contributes))
 
         # Sequential colour fold seeded with the entry colour (row 0).
@@ -380,11 +526,11 @@ def rasterize_tile_vectorized(
         weight *= contributes
         rows = np.nonzero(contributes.any(axis=1))[0]
         if len(rows):
-            terms = np.empty((len(rows) + 1, num_live, 3), dtype=np.float64)
+            terms = np.empty((len(rows) + 1, 3, num_live), dtype=np.float64)
             terms[0] = live_color
             np.multiply(
-                weight[rows, :, np.newaxis],
-                colors[start:stop][rows][:, np.newaxis, :],
+                weight[rows, np.newaxis, :],
+                colors[start:stop][rows][:, :, np.newaxis],
                 out=terms[1:],
             )
             live_color = np.add.reduce(terms, axis=0)
@@ -394,20 +540,20 @@ def rasterize_tile_vectorized(
         # product is non-increasing down each column, so only columns whose
         # final value fell below epsilon need the search.
         last = trail[-1]
-        cols = np.nonzero(last < TRANSMITTANCE_EPSILON)[0]
+        cols = np.nonzero(~trail_active[-1])[0]
         if len(cols):
-            first_below = (trail[:, cols] < TRANSMITTANCE_EPSILON).argmax(axis=0)
+            first_below = trail_active[:, cols].argmin(axis=0)
             last[cols] = trail[first_below, cols]
         live_transmittance = last
 
     transmittance[live] = live_transmittance
-    color[live] = live_color
-    color += transmittance[:, np.newaxis] * background
+    color[:, live] = live_color
+    color += background[:, np.newaxis] * transmittance
     if stats is not None:
         stats.fragments_evaluated += evaluated
         stats.fragments_blended += blended
         stats.tiles_processed += 1
-    return color
+    return np.ascontiguousarray(color.T)
 
 
 _TILE_BACKENDS = {
@@ -496,10 +642,7 @@ def rasterize_reference(
     counts are an upper bound on (not a copy of) the tiled workload.
     """
     background = np.asarray(background, dtype=np.float64).reshape(3)
-    xs = np.arange(grid.width) + 0.5
-    ys = np.arange(grid.height) + 0.5
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    pixels = np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)
+    pixels = grid.pixel_centers.reshape(-1, 2)
 
     order = np.argsort(projected.depths, kind="stable")
     color = np.zeros((len(pixels), 3), dtype=np.float64)

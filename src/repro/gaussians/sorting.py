@@ -88,26 +88,23 @@ def duplicate_keys(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
     ranges = grid.tile_range_for_bbox(projected.means, projected.radii)
-    counts = (ranges[:, 2] - ranges[:, 0]) * (ranges[:, 3] - ranges[:, 1])
-    counts = np.maximum(counts, 0)
+    widths = ranges[:, 2] - ranges[:, 0]
+    heights = ranges[:, 3] - ranges[:, 1]
+    counts = np.where((widths > 0) & (heights > 0), widths * heights, 0)
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    tile_ids = np.empty(total, dtype=np.int64)
-    gaussian_ids = np.empty(total, dtype=np.int64)
-    cursor = 0
-    for gaussian_id, (tx0, ty0, tx1, ty1) in enumerate(ranges):
-        if tx1 <= tx0 or ty1 <= ty0:
-            continue
-        tiles_x = np.arange(tx0, tx1)
-        tiles_y = np.arange(ty0, ty1)
-        tiles = (tiles_y[:, np.newaxis] * grid.tiles_x + tiles_x).ravel()
-        count = len(tiles)
-        tile_ids[cursor : cursor + count] = tiles
-        gaussian_ids[cursor : cursor + count] = gaussian_id
-        cursor += count
-    return tile_ids[:cursor], gaussian_ids[:cursor]
+    # Key k of Gaussian g is the k-th tile of its rectangle in row-major
+    # order (ty outer, tx inner), so the output is Gaussian-major.
+    gaussian_ids = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    first_key = np.cumsum(counts) - counts
+    local = np.arange(total, dtype=np.int64) - first_key[gaussian_ids]
+    row_width = widths[gaussian_ids]
+    tiles_y = ranges[gaussian_ids, 1] + local // row_width
+    tiles_x = ranges[gaussian_ids, 0] + local % row_width
+    tile_ids = tiles_y * grid.tiles_x + tiles_x
+    return tile_ids, gaussian_ids
 
 
 def bin_and_sort(projected: ProjectedGaussians, grid: TileGrid) -> TileBinning:

@@ -9,11 +9,26 @@ unit of work dispatched to a GauRast rasterizer instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.datasets.nerf360 import TILE_SIZE
+
+
+@lru_cache(maxsize=8)
+def _image_pixel_centers(width: int, height: int) -> np.ndarray:
+    """Read-only ``(height, width, 2)`` pixel centres of an image size.
+
+    Shared by every grid of that size: render results (and the frame cache
+    and worker replies that hold them) keep their grid, so a per-instance
+    copy would add 16 bytes per pixel to each of them.
+    """
+    grid_x, grid_y = np.meshgrid(np.arange(width) + 0.5, np.arange(height) + 0.5)
+    centers = np.stack([grid_x, grid_y], axis=-1)
+    centers.flags.writeable = False
+    return centers
 
 
 @dataclass(frozen=True)
@@ -71,13 +86,22 @@ class TileGrid:
         y1 = min(y0 + self.tile_size, self.height)
         return x0, y0, x1, y1
 
+    @property
+    def pixel_centers(self) -> np.ndarray:
+        """Read-only ``(height, width, 2)`` pixel-centre coordinates.
+
+        Built once per image size and sliced per tile by
+        :meth:`tile_pixel_centers`; a write raises ``ValueError``.
+        """
+        return _image_pixel_centers(self.width, self.height)
+
     def tile_pixel_centers(self, tile_id: int) -> np.ndarray:
-        """Return the ``(P, 2)`` pixel-centre coordinates covered by a tile."""
+        """Return the read-only ``(P, 2)`` pixel-centre coordinates of a tile."""
         x0, y0, x1, y1 = self.tile_pixel_bounds(tile_id)
-        xs = np.arange(x0, x1) + 0.5
-        ys = np.arange(y0, y1) + 0.5
-        grid_x, grid_y = np.meshgrid(xs, ys)
-        return np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)
+        centers = self.pixel_centers[y0:y1, x0:x1].reshape(-1, 2)
+        # A tile narrower than the image is copied by the reshape.
+        centers.flags.writeable = False
+        return centers
 
     def iter_tiles(self) -> Iterator[int]:
         """Iterate over all tile ids in row-major order."""

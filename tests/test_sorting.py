@@ -28,6 +28,25 @@ def _projected(means, radii, depths=None):
     )
 
 
+def _duplicate_keys_loop(projected, grid):
+    """Per-Gaussian loop oracle for ``duplicate_keys``: Gaussian-major
+    keys, each Gaussian's tile rectangle in row-major (ty, tx) order."""
+    tile_ids, gaussian_ids = [], []
+    ranges = grid.tile_range_for_bbox(projected.means, projected.radii)
+    for gaussian_id, (tx0, ty0, tx1, ty1) in enumerate(ranges):
+        if tx1 <= tx0 or ty1 <= ty0:
+            continue
+        tiles_x = np.arange(tx0, tx1)
+        tiles_y = np.arange(ty0, ty1)
+        tiles = (tiles_y[:, np.newaxis] * grid.tiles_x + tiles_x).ravel()
+        tile_ids.extend(tiles.tolist())
+        gaussian_ids.extend([gaussian_id] * len(tiles))
+    return (
+        np.asarray(tile_ids, dtype=np.int64),
+        np.asarray(gaussian_ids, dtype=np.int64),
+    )
+
+
 class TestDuplicateKeys:
     def test_single_tile_footprint(self):
         grid = TileGrid(width=64, height=64)
@@ -48,6 +67,40 @@ class TestDuplicateKeys:
         tiles, gaussians = duplicate_keys(ProjectedGaussians.empty(), grid)
         assert len(tiles) == 0
         assert len(gaussians) == 0
+
+    @given(
+        data=st.data(),
+        width=st.integers(min_value=1, max_value=90),
+        height=st.integers(min_value=1, max_value=90),
+        count=st.integers(min_value=0, max_value=25),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_oracle(self, data, width, height, count):
+        # Means reach far off-screen on every side and radii include zero,
+        # so empty, off-screen and edge-clipped ranges all occur.
+        coord = st.floats(min_value=-150.0, max_value=250.0, allow_nan=False)
+        grid = TileGrid(width=width, height=height)
+        means = data.draw(
+            st.lists(st.tuples(coord, coord), min_size=count, max_size=count)
+        )
+        radii = data.draw(
+            st.lists(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(min_value=0.0, max_value=120.0, allow_nan=False),
+                ),
+                min_size=count,
+                max_size=count,
+            )
+        )
+        projected = (
+            _projected(means, radii) if count else ProjectedGaussians.empty()
+        )
+        tiles, gaussians = duplicate_keys(projected, grid)
+        expected_tiles, expected_gaussians = _duplicate_keys_loop(projected, grid)
+        assert tiles.dtype == gaussians.dtype == np.int64
+        assert np.array_equal(tiles, expected_tiles)
+        assert np.array_equal(gaussians, expected_gaussians)
 
 
 class TestBinAndSort:

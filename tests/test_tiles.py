@@ -1,5 +1,7 @@
 """Tests for the screen-tile arithmetic."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,42 @@ class TestTileGrid:
             for x, y in grid.tile_pixel_centers(tile_id):
                 seen.add((x, y))
         assert len(seen) == grid.width * grid.height
+
+    @given(
+        width=st.integers(min_value=1, max_value=70),
+        height=st.integers(min_value=1, max_value=70),
+        tile_size=st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_centers_equal_per_tile_meshgrid(self, width, height, tile_size):
+        grid = TileGrid(width=width, height=height, tile_size=tile_size)
+        for tile_id in grid.iter_tiles():
+            x0, y0, x1, y1 = grid.tile_pixel_bounds(tile_id)
+            grid_x, grid_y = np.meshgrid(
+                np.arange(x0, x1) + 0.5, np.arange(y0, y1) + 0.5
+            )
+            expected = np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)
+            centers = grid.tile_pixel_centers(tile_id)
+            assert centers.dtype == expected.dtype
+            assert np.array_equal(centers, expected)
+
+    def test_pixel_centers_are_read_only(self):
+        grid = TileGrid(width=40, height=24, tile_size=16)
+        assert grid.pixel_centers is grid.pixel_centers
+        with pytest.raises(ValueError):
+            grid.pixel_centers[0, 0, 0] = 7.0
+        # Both a contiguous (full-width) and a copied tile are read-only.
+        for tile_id in (0, grid.tile_id(1, 1)):
+            with pytest.raises(ValueError):
+                grid.tile_pixel_centers(tile_id)[0, 0] = 7.0
+        narrow = TileGrid(width=16, height=40, tile_size=16)
+        with pytest.raises(ValueError):
+            narrow.tile_pixel_centers(1)[0, 0] = 7.0
+
+    def test_centers_shared_by_equal_sizes_not_pickled(self):
+        grid = TileGrid(width=320, height=240)
+        assert grid.pixel_centers is TileGrid(width=320, height=240, tile_size=8).pixel_centers
+        assert len(pickle.dumps(grid)) < 1024
 
 
 class TestTileRanges:
