@@ -1,11 +1,12 @@
-"""Perf smoke benchmark: scalar vs vectorized rasterization backend.
+"""Perf smoke benchmark: product Stage 3 vs the per-Gaussian oracle loop.
 
-Benchmarks Stage 3 (the backend-controlled stage) on the same prepared
-synthetic frame with both backends and records the frame rate of each plus
-the vectorized-over-scalar speedup in ``benchmark.extra_info``.  The
-acceptance bar for the vectorized engine is a >= 3x speedup on this scene;
-``tests/test_vectorized_equivalence.py`` guarantees the two backends are
-bit-identical, so the speedup is free of accuracy trade-offs.
+Benchmarks Stage 3 on the same prepared synthetic frame twice: the
+product's ``rasterize_tiles`` (vectorized tile engine) and the contract-1
+oracle (the ``oracle_tiles`` fixture, ``rasterize_tile`` on every tile).
+It records the frame rate of each plus the product-over-oracle speedup in
+``benchmark.extra_info``.  ``tests/test_vectorized_equivalence.py``
+guarantees the two are bit-identical, so the speedup is free of accuracy
+trade-offs.
 """
 
 import os
@@ -18,8 +19,8 @@ from repro.gaussians.sorting import bin_and_sort
 from repro.gaussians.synthetic import SyntheticConfig, make_synthetic_scene
 from repro.gaussians.tiles import TileGrid
 
-#: Mean per-round timings keyed by backend, shared between the two
-#: benchmarks of this module so the vectorized one can report the speedup.
+#: Mean per-round timings keyed by loop, shared between the two benchmarks
+#: of this module so the vectorized one can report the speedup.
 _MEAN_SECONDS = {}
 
 
@@ -35,25 +36,25 @@ def raster_frame():
     return projected, binning
 
 
-def _bench_backend(benchmark, record_info, raster_frame, backend):
+def _bench_loop(benchmark, record_info, raster_frame, name, rasterize):
     projected, binning = raster_frame
-    image, stats = benchmark(
-        rasterize_tiles, projected, binning, backend=backend
-    )
+    image, stats = benchmark(rasterize, projected, binning)
     assert stats.fragments_evaluated > 0
     if benchmark.stats is not None:  # None under --benchmark-disable
         mean = benchmark.stats.stats.mean
-        _MEAN_SECONDS[backend] = mean
-        record_info(benchmark, backend=backend, raster_fps=1.0 / mean)
+        _MEAN_SECONDS[name] = mean
+        record_info(benchmark, loop=name, raster_fps=1.0 / mean)
     return image
 
 
-def test_bench_raster_scalar(benchmark, record_info, raster_frame):
-    _bench_backend(benchmark, record_info, raster_frame, "scalar")
+def test_bench_raster_scalar(benchmark, record_info, raster_frame, oracle_tiles):
+    _bench_loop(benchmark, record_info, raster_frame, "scalar", oracle_tiles)
 
 
 def test_bench_raster_vectorized(benchmark, record_info, raster_frame):
-    _bench_backend(benchmark, record_info, raster_frame, "vectorized")
+    _bench_loop(
+        benchmark, record_info, raster_frame, "vectorized", rasterize_tiles
+    )
     if "scalar" in _MEAN_SECONDS and "vectorized" in _MEAN_SECONDS:
         speedup = _MEAN_SECONDS["scalar"] / _MEAN_SECONDS["vectorized"]
         record_info(benchmark, speedup_vs_scalar=speedup)

@@ -4,8 +4,7 @@
 The example walks through the library's main entry points:
 
 1. synthesise a small Gaussian scene,
-2. render it with the functional (software) 3DGS pipeline and check that the
-   scalar and vectorized rasterization backends agree bit-for-bit,
+2. render it with the functional (software) 3DGS pipeline,
 3. render a multi-camera batch with ``render_batch`` (shared scene-level
    preprocessing, stacked images, aggregated statistics),
 4. render the scene again with the cycle-level GauRast hardware model and
@@ -43,17 +42,13 @@ def main() -> None:
           f"{len(scene.cameras)} cameras")
 
     # ------------------------------------------------------------------ #
-    # 2. Software (golden) render; the two backends match bit-for-bit.
+    # 2. Software (golden) render.
     # ------------------------------------------------------------------ #
-    software = render(scene, backend="vectorized")
-    scalar = render(scene, backend="scalar")
-    if not np.array_equal(software.image, scalar.image):
-        raise SystemExit("vectorized backend diverged from the scalar loop")
+    software = render(scene)
     print(f"functional render: {software.num_sort_keys} sort keys, "
           f"{software.fragments_evaluated} fragments evaluated, "
           f"rasterization dominates with "
-          f"{software.binning.mean_gaussians_per_tile:.1f} Gaussians/tile "
-          f"(scalar and vectorized backends bit-identical)")
+          f"{software.binning.mean_gaussians_per_tile:.1f} Gaussians/tile")
 
     # ------------------------------------------------------------------ #
     # 3. Batched multi-camera render with shared preprocessing.

@@ -8,9 +8,9 @@ small differential-drive robot following a circular path through a synthetic
 Gaussian scene:
 
 * the whole trajectory is rendered as one multi-camera batch
-  (``render_batch``, vectorized backend) so scene-level preprocessing is
-  shared across waypoints and each viewpoint's workload statistics are
-  measured in a single pass,
+  (``render_batch``) so scene-level preprocessing is shared across
+  waypoints and each viewpoint's workload statistics are measured in a
+  single pass,
 * the Jetson Orin NX baseline model and the GauRast model are evaluated on
   that workload, giving per-viewpoint frame times,
 * the trajectory summary reports whether each platform sustains the robot's
@@ -95,7 +95,7 @@ def main() -> None:
     rasterizer = ScaledGauRast(SCALED_CONFIG)
 
     waypoints = [waypoint_camera(config, index) for index in range(NUM_WAYPOINTS)]
-    batch = render_batch(scene, cameras=waypoints, backend="vectorized")
+    batch = render_batch(scene, cameras=waypoints)
 
     rows = []
     baseline_fps_values = []

@@ -4,16 +4,12 @@ The serving stack rests on contracts that used to be enforced only by
 convention — and PRs 4/5 each paid for a violation after the fact (cache
 keys retrofitted with ``level``; a ~6-second dataclass repr of gathered
 frames).  This package machine-checks those contracts at CI time with a
-small static-analysis framework (stdlib ``ast`` only) and five rules
+small static-analysis framework (stdlib ``ast`` only) and four rules
 targeting the codebase's proven bug classes:
 
 * ``determinism`` — all randomness must flow through explicitly seeded
   ``np.random.Generator`` objects (seeded replay and golden tests depend
   on it);
-* ``cache-key`` — every frame-cache / coalescing / covariance-cache key
-  must carry every ``RenderRequest`` dimension, so adding a request field
-  (like the upcoming scene ``epoch``) fails the build until every key
-  site is updated;
 * ``async-blocking`` / ``async-state`` — ``async def`` bodies must not
   block the event loop, and instance state must not be read before an
   ``await`` and written back after it without an ``asyncio.Lock``;
@@ -22,10 +18,13 @@ targeting the codebase's proven bug classes:
 
 Contracts that an owning object can enforce need no rule.  Scene stores
 hand out non-writeable arrays, so a write through a view raises at run
-time.  Shared-memory segments, storage leases and worker processes are
-released by their owners' finalizers and ``close()`` methods, and the
-test session fails any test that leaves a child process, a
-``/dev/shm`` segment or an unclosed file (``ResourceWarning``) behind.
+time.  Frame-cache and coalescing keys are built by
+``RenderRequest.key`` from the request's own dataclass fields, so a new
+request field lands in every key by construction.  Shared-memory
+segments, storage leases and worker processes are released by their
+owners' finalizers and ``close()`` methods, and the test session fails
+any test that leaves a child process, a ``/dev/shm`` segment or an
+unclosed file (``ResourceWarning``) behind.
 
 Entry points: ``repro lint`` (CLI subcommand), ``python -m
 repro.analysis``, or the library API below.  Suppressions:
@@ -62,7 +61,6 @@ from repro.analysis.core import (
 
 # Importing the rule modules populates the RULES registry.
 from repro.analysis import asyncsafety     # noqa: F401
-from repro.analysis import cachekeys       # noqa: F401
 from repro.analysis import determinism     # noqa: F401
 from repro.analysis import reprhygiene     # noqa: F401
 
@@ -103,8 +101,7 @@ def lint_source(
     """Lint one source string and return its findings.
 
     The convenience entry point for tests, docs and tooling: the snippet
-    is parsed as a single-file project, so rules needing cross-file
-    context (``cache-key``) resolve against the snippet itself.
+    is parsed as a single-file project.
     """
     module = ParsedModule(path, source)
     return lint_modules([module], rules=resolve_rules(rules))

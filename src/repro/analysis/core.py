@@ -2,9 +2,8 @@
 
 The analysis framework is deliberately small and dependency-free (stdlib
 ``ast`` only).  A :class:`Rule` inspects one :class:`ParsedModule` at a time
-— with the whole :class:`Project` available for cross-file resolution (the
-cache-key rule reads the ``RenderRequest`` field set from wherever it is
-defined) — and yields :class:`Finding` objects.  The framework layers three
+— with the whole :class:`Project` available for cross-file context — and
+yields :class:`Finding` objects.  The framework layers three
 escape hatches on top, in decreasing order of preference:
 
 * **per-line suppression** — ``# repro: ignore[rule-id]`` on the offending
@@ -141,49 +140,13 @@ class ParsedModule:
 class Project:
     """The set of modules being linted together.
 
-    Rules that need cross-file context (the cache-key rule resolves the
-    ``RenderRequest`` dataclass from wherever it is defined) query the
-    project instead of re-parsing files themselves.
+    Every rule receives it next to the module under check, so a rule that
+    needs cross-file context can read the other modules instead of
+    re-parsing files itself.
     """
 
     def __init__(self, modules: Sequence[ParsedModule]):
         self.modules = list(modules)
-        self._class_cache: Dict[str, Optional[ast.ClassDef]] = {}
-
-    def find_class(self, name: str) -> Optional[ast.ClassDef]:
-        """First class definition named ``name`` across the project.
-
-        Cached: every rule invocation shares one lookup per name, keeping
-        the full-tree lint linear in the number of modules.
-        """
-        if name not in self._class_cache:
-            self._class_cache[name] = next(
-                (
-                    node
-                    for module in self.modules
-                    for node in ast.walk(module.tree)
-                    if isinstance(node, ast.ClassDef) and node.name == name
-                ),
-                None,
-            )
-        return self._class_cache[name]
-
-    def dataclass_fields(self, name: str) -> List[str]:
-        """Field names of the dataclass ``name`` (empty if not found).
-
-        Fields are the annotated assignments of the class body, in
-        declaration order — exactly what ``dataclasses.fields`` would
-        report, but resolved statically.
-        """
-        node = self.find_class(name)
-        if node is None:
-            return []
-        return [
-            statement.target.id
-            for statement in node.body
-            if isinstance(statement, ast.AnnAssign)
-            and isinstance(statement.target, ast.Name)
-        ]
 
 
 class Rule:

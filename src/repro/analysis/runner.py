@@ -1,9 +1,8 @@
 """File discovery and the ``repro lint`` / ``python -m repro.analysis`` CLI.
 
 The runner turns paths into :class:`~repro.analysis.core.ParsedModule`
-objects, runs the registered rules over them as one project (so cross-file
-resolution like the cache-key rule's ``RenderRequest`` lookup sees every
-file), and renders the findings through :mod:`repro.analysis.report`.
+objects, runs the registered rules over them as one project, and renders
+the findings through :mod:`repro.analysis.report`.
 
 Exit codes are part of the contract (CI and pre-commit hooks consume
 them): **0** clean, **1** at least one non-baselined finding, **2**
@@ -137,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "AST-based invariant linter: determinism, cache-key "
-            "completeness, async-safety, repr-hygiene."
+            "AST-based invariant linter: determinism, async-safety, "
+            "repr-hygiene."
         ),
     )
     parser.add_argument(

@@ -63,9 +63,11 @@ Eight subcommands cover the library's main flows::
                          [--update-baseline] [--exclude NAME]
                          [--list-rules]
         Run the AST-based invariant linter (repro.analysis) over the tree:
-        determinism, cache-key completeness, async-safety, repr-hygiene.
+        determinism, async-safety, repr-hygiene.
         Resource lifetimes (segments, leases, processes, files) are owned
-        by objects and checked at run time by the test session, not linted.
+        by objects and checked at run time by the test session, and cache
+        keys are built from the request's own fields (RenderRequest.key);
+        neither is linted.
         Exits 0 when clean, 1 on findings, 2 on analyzer-internal errors;
         --update-baseline rewrites the baseline to the current findings
         (pruning stale fingerprints) and exits 0.
@@ -95,7 +97,6 @@ from repro.experiments.common import fmt, format_table
 from repro.gaussians.io import save_image_ppm, save_scene
 from repro.gaussians.metrics import compare_images
 from repro.gaussians.pipeline import render as functional_render
-from repro.gaussians.rasterize import BACKENDS, DEFAULT_BACKEND
 from repro.gaussians.synthetic import SyntheticConfig, make_synthetic_scene
 from repro.hardware.config import GauRastConfig, PROTOTYPE_CONFIG
 from repro.hardware.fp import Precision
@@ -144,11 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--height", type=int, default=120)
     render.add_argument("--seed", type=int, default=0)
     render.add_argument("--instances", type=int, default=4)
-    render.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="functional rasterization backend (bit-identical; "
-             "'vectorized' is faster)",
-    )
     render.add_argument("--output", default=None, help="write the image as PPM")
     render.add_argument("--save-scene", default=None, help="write the scene as .npz")
 
@@ -225,10 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0,
                        help="traffic seed; the same seed replays the exact "
                             "same request stream")
-    serve.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="functional rasterization backend",
-    )
     serve.add_argument("--workers", type=int, default=1,
                        help="shard the stream across N worker processes "
                             "with scene affinity (default: 1, in-process)")
@@ -374,16 +366,15 @@ def _command_render(args: argparse.Namespace) -> int:
     )
     scene = make_synthetic_scene(config, name="cli-scene")
     start = time.perf_counter()
-    software = functional_render(scene, backend=args.backend)
+    software = functional_render(scene)
     software_seconds = time.perf_counter() - start
 
     system = GauRastSystem(config=GauRastConfig(num_instances=args.instances))
-    image, report = system.render(scene, backend=args.backend)
+    image, report = system.render(scene)
     comparison = compare_images(software.image, image)
     print(f"rendered {scene.num_gaussians} Gaussians at {args.width}x{args.height} "
           f"in {report.frame_cycles} cycles on {args.instances} instances")
-    print(f"functional render ({args.backend} backend): "
-          f"{software_seconds * 1e3:.1f} ms")
+    print(f"functional render: {software_seconds * 1e3:.1f} ms")
     print(f"validation vs software renderer: max |err| = "
           f"{comparison.max_abs_error:.2e}, SSIM = {comparison.ssim:.4f}")
 
@@ -644,8 +635,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     print(f"serving {len(trace)} requests over {len(store)} scenes "
           f"({store.num_cameras} viewpoints, traffic={args.traffic}, "
-          f"seed={args.seed}, backend={args.backend}, "
-          f"workers={args.workers}"
+          f"seed={args.seed}, workers={args.workers}"
           + (f", storage={args.storage}" if args.storage != "memory" else "")
           + (", async gateway" if args.use_async else "") + ")")
 
@@ -662,14 +652,12 @@ def _command_serve(args: argparse.Namespace) -> int:
                 hotspot_fraction=args.hotspot_fraction,
             )
         service = ShardedRenderService(
-            store, num_workers=args.workers, backend=args.backend,
-            lod_policy=lod_policy, replication=args.replicate_hot,
-            hot_scenes=hot_scenes, rebalance=args.rebalance,
+            store, num_workers=args.workers, lod_policy=lod_policy,
+            replication=args.replicate_hot, hot_scenes=hot_scenes,
+            rebalance=args.rebalance,
         )
     else:
-        service = RenderService(
-            store, backend=args.backend, lod_policy=lod_policy
-        )
+        service = RenderService(store, lod_policy=lod_policy)
     try:
         if args.use_async:
             priority_of = None
@@ -709,7 +697,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             for request in trace:
                 functional_render(
                     store.get_scene(request.scene_id), camera=request.camera,
-                    backend=args.backend, collect_stats=True,
+                    collect_stats=True,
                 )
             naive_seconds = time.perf_counter() - start
             naive_rps = len(trace) / naive_seconds
@@ -723,8 +711,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                 evaluation = system.evaluate_trace(store, trace, gateway=gateway)
             else:
                 evaluation = system.evaluate_trace(
-                    store, trace, backend=args.backend, workers=args.workers,
-                    lod_policy=lod_policy,
+                    store, trace, workers=args.workers, lod_policy=lod_policy,
                 )
             print(f"hardware model: {evaluation.served_cycles} cycles served "
                   f"vs {evaluation.naive_cycles} naive "

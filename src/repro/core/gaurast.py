@@ -276,23 +276,18 @@ class GauRastSystem:
         scene: GaussianScene,
         camera=None,
         background=(0.0, 0.0, 0.0),
-        backend: Optional[str] = None,
     ) -> tuple[np.ndarray, FrameReport]:
         """Render a scene with the hardware model executing Stage 3.
 
         Stages 1-2 run through the functional pipeline (they stay on the
         CUDA cores in the real system); Stage 3 runs on the cycle-level
-        multi-instance simulator.  ``backend`` selects the functional
-        rasterization backend used for the software stages (see
-        :func:`repro.gaussians.pipeline.render`); it does not affect the
-        hardware simulation.
+        multi-instance simulator.
         """
         result = functional_render(
             scene,
             camera=camera,
             background=background,
             collect_stats=False,
-            backend=backend,
         )
         return self.rasterizer.simulate_frame(
             result.projected, result.binning, background=background
@@ -303,7 +298,6 @@ class GauRastSystem:
         scene: GaussianScene,
         cameras=None,
         background=(0.0, 0.0, 0.0),
-        backend: Optional[str] = None,
     ) -> List[tuple[np.ndarray, FrameReport]]:
         """Render several viewpoints through the hardware model.
 
@@ -317,7 +311,6 @@ class GauRastSystem:
             cameras=cameras,
             background=background,
             collect_stats=False,
-            backend=backend,
         )
         return [
             self.rasterizer.simulate_frame(
@@ -333,7 +326,6 @@ class GauRastSystem:
         self,
         store: SceneStore,
         requests: List[RenderRequest],
-        backend: Optional[str] = None,
         background=(0.0, 0.0, 0.0),
         service: Optional[Union[RenderService, ShardedRenderService]] = None,
         workers: Optional[int] = None,
@@ -367,11 +359,11 @@ class GauRastSystem:
         hardware cost deltas between detail levels.
 
         When an existing ``service`` is passed (single-worker or sharded),
-        its own backend and background govern both the functional serve and
-        the hardware replay; the ``backend``/``background``/``workers``/
-        ``lod_policy`` arguments apply only when the service is created
-        here.  A ``gateway`` (mutually exclusive with ``service``) serves
-        the trace through the async front end instead — coalescing and
+        its own background governs both the functional serve and the
+        hardware replay; the ``background``/``workers``/``lod_policy``
+        arguments apply only when the service is created here.  A
+        ``gateway`` (mutually exclusive with ``service``) serves the trace
+        through the async front end instead — coalescing and
         batching change nothing in the replay because frames stay
         bit-identical, but overload drops (shed/rejected/expired requests)
         produced no frame and are therefore excluded from it.
@@ -409,14 +401,14 @@ class GauRastSystem:
         elif service is None:
             if workers is not None and workers > 1:
                 service = owned_service = ShardedRenderService(
-                    store, num_workers=workers, backend=backend,
-                    background=background, collect_stats=False,
-                    lod_policy=lod_policy, replication=replication,
+                    store, num_workers=workers, background=background,
+                    collect_stats=False, lod_policy=lod_policy,
+                    replication=replication,
                     hot_scenes=hot_scenes, rebalance=rebalance,
                 )
             else:
                 service = RenderService(
-                    store, backend=backend, background=background,
+                    store, background=background,
                     collect_stats=False, lod_policy=lod_policy,
                 )
         # The replay must composite over the same background the served

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.gaurast import GauRastSystem
 from repro.core.metrics import SceneEvaluation
@@ -74,7 +74,6 @@ def measured_functional_fps(
     scene_name: str = "bicycle",
     scale: float = 0.001,
     num_cameras: int = 4,
-    backend: Optional[str] = None,
     seed: int = 0,
 ) -> tuple[float, BatchRenderResult]:
     """Measured FPS of the software pipeline on a multi-camera stand-in.
@@ -87,7 +86,7 @@ def measured_functional_fps(
         scene_name, scale=scale, seed=seed, num_cameras=num_cameras
     )
     start = time.perf_counter()
-    batch = render_batch(scene, backend=backend)
+    batch = render_batch(scene)
     elapsed = time.perf_counter() - start
     return len(batch) / elapsed, batch
 
@@ -125,8 +124,8 @@ def main() -> None:
         )
     fps, batch = measured_functional_fps()
     print(
-        f"software stand-in (bicycle, {len(batch)} orbit cameras, "
-        f"vectorized backend): {fps:.1f} FPS measured"
+        f"software stand-in (bicycle, {len(batch)} orbit cameras): "
+        f"{fps:.1f} FPS measured"
     )
 
 

@@ -8,27 +8,16 @@ design point sits on the performance/area curve and where the end-to-end
 frame rate saturates (once Stage 3 is no longer the bottleneck, adding
 rasterizer instances stops helping — the motivation for the collaborative
 schedule's balance).
-
-A second, *measured* sweep (:func:`measure_functional_throughput`) renders a
-synthetic multi-camera batch through the functional pipeline with each
-software rasterization backend, reporting the wall-clock frames per second
-each backend sustains.  This is the software-side analogue of the hardware
-scaling study: the vectorized backend is what lets sweeps cover many
-cameras and scenes in reasonable time.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.baselines.jetson import JetsonOrinNX
 from repro.datasets.nerf360 import get_scene
 from repro.experiments.common import fmt, format_table
-from repro.gaussians.pipeline import render_batch
-from repro.gaussians.rasterize import BACKENDS
-from repro.gaussians.synthetic import SyntheticConfig, make_synthetic_scene
 from repro.hardware.area import AreaModel
 from repro.hardware.config import SCALED_CONFIG
 from repro.hardware.multi import ScaledGauRast
@@ -104,80 +93,6 @@ def run(
     )
 
 
-@dataclass(frozen=True)
-class BackendThroughput:
-    """Measured functional-renderer throughput of one backend."""
-
-    backend: str
-    num_cameras: int
-    seconds_per_frame: float
-    frames_per_second: float
-    fragments_evaluated: int
-
-
-def measure_functional_throughput(
-    num_gaussians: int = 800,
-    width: int = 128,
-    height: int = 96,
-    num_cameras: int = 3,
-    seed: int = 0,
-    backends: Sequence[str] = BACKENDS,
-) -> List[BackendThroughput]:
-    """Measure wall-clock FPS of each software backend on a camera batch.
-
-    Renders the same synthetic scene from ``num_cameras`` orbit viewpoints
-    through :func:`repro.gaussians.pipeline.render_batch` once per backend.
-    Both backends produce bit-identical images, so the comparison isolates
-    pure rasterization-engine throughput.
-    """
-    config = SyntheticConfig(
-        num_gaussians=num_gaussians, width=width, height=height, seed=seed
-    )
-    scene = make_synthetic_scene(config, name="throughput", num_cameras=num_cameras)
-
-    points = []
-    for backend in backends:
-        start = time.perf_counter()
-        batch = render_batch(scene, backend=backend)
-        elapsed = time.perf_counter() - start
-        frames = len(batch)
-        points.append(
-            BackendThroughput(
-                backend=backend,
-                num_cameras=frames,
-                seconds_per_frame=elapsed / frames,
-                frames_per_second=frames / elapsed,
-                fragments_evaluated=batch.fragments_evaluated,
-            )
-        )
-    return points
-
-
-def format_throughput(points: List[BackendThroughput]) -> str:
-    """Render the backend throughput comparison as text."""
-    headers = ["Backend", "Cameras", "ms/frame", "FPS", "Fragments"]
-    rows = [
-        (
-            p.backend,
-            p.num_cameras,
-            fmt(p.seconds_per_frame * 1e3, 1),
-            fmt(p.frames_per_second, 1),
-            p.fragments_evaluated,
-        )
-        for p in points
-    ]
-    table = format_table(headers, rows)
-    if len(points) >= 2:
-        by_name = {p.backend: p for p in points}
-        if "scalar" in by_name and "vectorized" in by_name:
-            speedup = (
-                by_name["scalar"].seconds_per_frame
-                / by_name["vectorized"].seconds_per_frame
-            )
-            table += f"\nvectorized backend speedup over scalar: {speedup:.1f}x"
-    return table
-
-
 def format_result(result: ScalingSweepResult) -> str:
     """Render the sweep as text."""
     headers = [
@@ -209,12 +124,9 @@ def format_result(result: ScalingSweepResult) -> str:
 
 
 def main() -> None:
-    """Print the scaling sweep and the software backend throughput sweep."""
+    """Print the instance-count scaling sweep."""
     print("Ablation: GauRast instance-count sweep")
     print(format_result(run()))
-    print()
-    print("Software rasterization backends (measured, multi-camera batch)")
-    print(format_throughput(measure_functional_throughput()))
 
 
 if __name__ == "__main__":

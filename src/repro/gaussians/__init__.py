@@ -28,16 +28,14 @@ from repro.gaussians.pipeline import (
     render,
     render_batch,
 )
-from repro.gaussians.rasterize import BACKENDS, DEFAULT_BACKEND, rasterize_tiles
+from repro.gaussians.rasterize import rasterize_tiles
 from repro.gaussians.scene import GaussianScene
 from repro.gaussians.sorting import TileBinning, bin_and_sort
 from repro.gaussians.synthetic import make_synthetic_scene
 
 __all__ = [
-    "BACKENDS",
     "BatchRenderResult",
     "Camera",
-    "DEFAULT_BACKEND",
     "GaussianCloud",
     "GaussianScene",
     "ProjectedGaussians",

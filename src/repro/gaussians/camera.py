@@ -8,7 +8,8 @@ pipeline (vertex transformation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Tuple
 
 import numpy as np
@@ -60,6 +61,18 @@ class Camera:
             raise ValueError("world_to_camera must be a 4x4 matrix")
         if not 0 < self.znear < self.zfar:
             raise ValueError("require 0 < znear < zfar")
+
+    def key(self) -> tuple:
+        """Hashable identity of the view, built from every dataclass field.
+
+        Arrays (the pose) enter as their raw bytes.  A field added to the
+        class lands in the key with no further edit, so two cameras share a
+        key exactly when every field is equal.
+        """
+        return tuple([
+            value.tobytes() if isinstance(value, np.ndarray) else value
+            for value in map(self.__getattribute__, _field_names(type(self)))
+        ])
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -179,3 +192,9 @@ def look_at(
     matrix[:3, :3] = rotation
     matrix[:3, 3] = -rotation @ eye
     return matrix
+
+
+@cache
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """Dataclass field names of ``cls``, computed once per class."""
+    return tuple(f.name for f in fields(cls))

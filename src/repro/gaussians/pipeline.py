@@ -8,10 +8,9 @@ in for Stage 3.
 
 Two entry points are provided:
 
-* :func:`render` — one camera, one frame.  Stage 3 runs on a selectable
-  backend (``"scalar"`` or ``"vectorized"``, see
-  :mod:`repro.gaussians.rasterize`); both backends are bit-identical in
-  FP64, the vectorized one is simply faster.
+* :func:`render` — one camera, one frame.  Stage 3 runs the vectorized
+  tile engine of :mod:`repro.gaussians.rasterize`, bit-identical in FP64
+  to the per-Gaussian oracle loop kept there for tests.
 * :func:`render_batch` — many cameras of the same scene in one call.  The
   camera-independent part of preprocessing (the world-space covariances) is
   computed once and shared across all viewpoints, and the result carries
@@ -129,7 +128,6 @@ def render(
     background=(0.0, 0.0, 0.0),
     sh_degree: Optional[int] = None,
     collect_stats: bool = True,
-    backend: Optional[str] = None,
     covariances: Optional[np.ndarray] = None,
 ) -> RenderResult:
     """Render a scene with the functional three-stage 3DGS pipeline.
@@ -147,9 +145,6 @@ def render(
     collect_stats:
         Whether to collect per-fragment workload statistics (slightly
         slower; required by the performance models).
-    backend:
-        Stage-3 rasterization backend: ``"scalar"`` or ``"vectorized"``
-        (default).  Both are bit-identical in FP64.
     covariances:
         Optional precomputed world-space covariances of the full cloud,
         shared across cameras by :func:`render_batch`.
@@ -167,7 +162,6 @@ def render(
         binning,
         background=background,
         collect_stats=collect_stats,
-        backend=backend,
     )
     return RenderResult(
         image=image,
@@ -184,7 +178,6 @@ def render_batch(
     background=(0.0, 0.0, 0.0),
     sh_degree: Optional[int] = None,
     collect_stats: bool = True,
-    backend: Optional[str] = None,
     covariances: Optional[np.ndarray] = None,
 ) -> BatchRenderResult:
     """Render one scene from many viewpoints in a single call.
@@ -201,7 +194,7 @@ def render_batch(
         The scene to render.
     cameras:
         Viewpoints to render; defaults to all of the scene's cameras.
-    background, sh_degree, collect_stats, backend:
+    background, sh_degree, collect_stats:
         As in :func:`render`, applied to every frame.
     covariances:
         Optional precomputed world-space covariances of the full cloud.
@@ -230,7 +223,6 @@ def render_batch(
             background=background,
             sh_degree=sh_degree,
             collect_stats=collect_stats,
-            backend=backend,
             covariances=covariances,
         )
         for camera in cameras

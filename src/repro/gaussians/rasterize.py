@@ -16,21 +16,18 @@ following the exact clamping and early-termination rules of the reference
 CUDA rasterizer so the output can be compared bit-for-bit (in FP64) against
 the hardware datapath model.
 
-Two interchangeable backends implement the per-tile loop:
+The product path is :func:`rasterize_tiles`, which runs the chunked engine
+:func:`rasterize_tile_vectorized` on every tile: it first culls the tile's
+Gaussians whose alpha bound over the tile (:func:`alpha_upper_bound`) is
+below ``1/255``, then evaluates blocks of the rest against all tile pixels
+at once and folds them with sequential ``cumprod``/``add.reduce`` passes,
+amortising the NumPy dispatch overhead over whole blocks.
 
-* ``"scalar"`` — the original per-Gaussian Python loop
-  (:func:`rasterize_tile`), kept as the readable golden model;
-* ``"vectorized"`` — a chunked engine (:func:`rasterize_tile_vectorized`)
-  that first culls the tile's Gaussians whose alpha bound over the tile
-  (:func:`alpha_upper_bound`) is below ``1/255``, then evaluates blocks of
-  the rest against all tile pixels at once and folds them with sequential
-  ``cumprod``/``add.reduce`` passes, producing **bit-identical** FP64
-  images and identical :class:`RasterStats` while amortising the NumPy
-  dispatch overhead over whole blocks.
-
-Both backends are dispatched through :func:`rasterize_tiles` via its
-``backend`` parameter; ``tests/test_vectorized_equivalence.py`` pins the
-bit-for-bit equivalence.
+Two oracles sit at the end of the module and serve only tests:
+:func:`rasterize_tile`, the original per-Gaussian Python loop, and
+:func:`rasterize_reference`, an untiled all-pairs loop.  Contract 1 is
+"product == :func:`rasterize_tile` oracle": bit-identical FP64 images and
+identical :class:`RasterStats` (``tests/test_vectorized_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -56,15 +53,7 @@ ALPHA_MAX = 0.99
 #: (early termination).
 TRANSMITTANCE_EPSILON = 1e-4
 
-#: Rasterization backends selectable through ``rasterize_tiles`` and the
-#: rendering pipeline.
-BACKENDS = ("scalar", "vectorized")
-
-#: Backend used when callers do not ask for a specific one.  The vectorized
-#: engine is bit-identical to the scalar loop, so it is the safe default.
-DEFAULT_BACKEND = "vectorized"
-
-#: Number of Gaussians the vectorized backend evaluates per block.  Between
+#: Number of Gaussians the vectorized engine evaluates per block.  Between
 #: blocks the engine re-checks the whole-tile early-termination condition,
 #: so the block size bounds how much work can be wasted past the point where
 #: every pixel has saturated.
@@ -326,67 +315,6 @@ def alpha_upper_bound(
     return bound
 
 
-def rasterize_tile(
-    projected: ProjectedGaussians,
-    gaussian_indices: np.ndarray,
-    pixel_centers: np.ndarray,
-    background: np.ndarray,
-    stats: Optional[RasterStats] = None,
-) -> np.ndarray:
-    """Rasterize one tile.
-
-    Parameters
-    ----------
-    projected:
-        All projected Gaussians of the frame.
-    gaussian_indices:
-        Depth-sorted indices of the Gaussians assigned to this tile.
-    pixel_centers:
-        ``(P, 2)`` pixel-centre coordinates of the tile.
-    background:
-        ``(3,)`` background colour blended under the remaining transmittance.
-    stats:
-        Optional workload counter updated in place.
-
-    Returns
-    -------
-    ``(P, 3)`` RGB colours for the tile's pixels.
-    """
-    num_pixels = len(pixel_centers)
-    color = np.zeros((num_pixels, 3), dtype=np.float64)
-    transmittance = np.ones(num_pixels, dtype=np.float64)
-
-    blended = 0
-    evaluated = 0
-    for index in gaussian_indices:
-        active = transmittance >= TRANSMITTANCE_EPSILON
-        if not np.any(active):
-            break
-        evaluated += int(active.sum())
-
-        alpha = gaussian_alpha(
-            pixel_centers,
-            projected.means[index],
-            projected.cov_inverses[index],
-            projected.opacities[index],
-        )
-        contributes = active & (alpha >= ALPHA_SKIP_THRESHOLD)
-        if np.any(contributes):
-            weight = transmittance * alpha * contributes
-            color += weight[:, np.newaxis] * projected.colors[index]
-            transmittance = np.where(
-                contributes, transmittance * (1.0 - alpha), transmittance
-            )
-            blended += int(contributes.sum())
-
-    color += transmittance[:, np.newaxis] * background
-    if stats is not None:
-        stats.fragments_evaluated += evaluated
-        stats.fragments_blended += blended
-        stats.tiles_processed += 1
-    return color
-
-
 def rasterize_tile_vectorized(
     projected: ProjectedGaussians,
     gaussian_indices: np.ndarray,
@@ -556,38 +484,13 @@ def rasterize_tile_vectorized(
     return np.ascontiguousarray(color.T)
 
 
-_TILE_BACKENDS = {
-    "scalar": rasterize_tile,
-    "vectorized": rasterize_tile_vectorized,
-}
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Validate a backend name, mapping ``None`` to the default."""
-    if backend is None:
-        return DEFAULT_BACKEND
-    if backend not in _TILE_BACKENDS:
-        raise ValueError(
-            f"unknown rasterization backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
-
-
 def rasterize_tiles(
     projected: ProjectedGaussians,
     binning: TileBinning,
     background=(0.0, 0.0, 0.0),
     collect_stats: bool = True,
-    backend: Optional[str] = None,
 ) -> tuple[np.ndarray, RasterStats]:
-    """Rasterize a full frame tile by tile.
-
-    Parameters
-    ----------
-    backend:
-        ``"scalar"`` for the per-Gaussian loop, ``"vectorized"`` for the
-        chunked block engine (the default).  Both produce bit-identical
-        FP64 images and identical statistics.
+    """Rasterize a full frame tile by tile with the vectorized engine.
 
     Returns
     -------
@@ -596,7 +499,6 @@ def rasterize_tiles(
     stats:
         Workload counters (empty if ``collect_stats`` is ``False``).
     """
-    rasterize_fn = _TILE_BACKENDS[resolve_backend(backend)]
     grid = binning.grid
     background = np.asarray(background, dtype=np.float64).reshape(3)
     image = np.zeros((grid.height, grid.width, 3), dtype=np.float64)
@@ -609,13 +511,79 @@ def rasterize_tiles(
         x0, y0, x1, y1 = grid.tile_pixel_bounds(tile_id)
         pixel_centers = grid.tile_pixel_centers(tile_id)
         tile_stats = stats if collect_stats else None
-        tile_color = rasterize_fn(
+        tile_color = rasterize_tile_vectorized(
             projected, gaussian_indices, pixel_centers, background, tile_stats
         )
         image[y0:y1, x0:x1] = tile_color.reshape(y1 - y0, x1 - x0, 3)
         if collect_stats:
             stats.per_tile_gaussians[tile_id] = len(gaussian_indices)
     return image, stats
+
+
+def rasterize_tile(
+    projected: ProjectedGaussians,
+    gaussian_indices: np.ndarray,
+    pixel_centers: np.ndarray,
+    background: np.ndarray,
+    stats: Optional[RasterStats] = None,
+) -> np.ndarray:
+    """Rasterize one tile with the per-Gaussian loop: the contract-1 oracle.
+
+    This is the readable golden model of the block engine.  Tests compare
+    :func:`rasterize_tile_vectorized` (and, frame by frame, a tile loop over
+    this function against :func:`rasterize_tiles`) for bit-identical colours
+    and identical counters; no product path calls it.
+
+    Parameters
+    ----------
+    projected:
+        All projected Gaussians of the frame.
+    gaussian_indices:
+        Depth-sorted indices of the Gaussians assigned to this tile.
+    pixel_centers:
+        ``(P, 2)`` pixel-centre coordinates of the tile.
+    background:
+        ``(3,)`` background colour blended under the remaining transmittance.
+    stats:
+        Optional workload counter updated in place.
+
+    Returns
+    -------
+    ``(P, 3)`` RGB colours for the tile's pixels.
+    """
+    num_pixels = len(pixel_centers)
+    color = np.zeros((num_pixels, 3), dtype=np.float64)
+    transmittance = np.ones(num_pixels, dtype=np.float64)
+
+    blended = 0
+    evaluated = 0
+    for index in gaussian_indices:
+        active = transmittance >= TRANSMITTANCE_EPSILON
+        if not np.any(active):
+            break
+        evaluated += int(active.sum())
+
+        alpha = gaussian_alpha(
+            pixel_centers,
+            projected.means[index],
+            projected.cov_inverses[index],
+            projected.opacities[index],
+        )
+        contributes = active & (alpha >= ALPHA_SKIP_THRESHOLD)
+        if np.any(contributes):
+            weight = transmittance * alpha * contributes
+            color += weight[:, np.newaxis] * projected.colors[index]
+            transmittance = np.where(
+                contributes, transmittance * (1.0 - alpha), transmittance
+            )
+            blended += int(contributes.sum())
+
+    color += transmittance[:, np.newaxis] * background
+    if stats is not None:
+        stats.fragments_evaluated += evaluated
+        stats.fragments_blended += blended
+        stats.tiles_processed += 1
+    return color
 
 
 def rasterize_reference(

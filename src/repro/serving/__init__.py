@@ -7,7 +7,7 @@ three tiers:
   flattened arrays (O(1) zero-copy scene views, amortized growth, one
   ``.npz`` archive for the whole fleet of scenes);
 * :class:`~repro.serving.service.RenderService` serves a stream of
-  ``(scene_id, camera, backend)`` render requests against the store with
+  ``(scene_id, camera, level)`` render requests against the store with
   same-scene batching and byte-budgeted LRU memoization of per-scene
   covariances and rendered frames;
 * :class:`~repro.serving.sharded.ShardedRenderService` partitions the

@@ -8,7 +8,7 @@ can outrun the renderer.  :class:`RenderGateway` is the asyncio front end
 that models (and manages) exactly that, without touching the render path:
 
 * **In-flight coalescing** — concurrent requests for the same
-  ``(scene, camera, backend, level)`` attach to one *flight*: a single
+  ``(scene, level, camera)`` attach to one *flight*: a single
   render (and a single frame-cache fill) answers all of them.  This is what
   the frame cache cannot do on its own: a cache entry only exists once the
   first render *completes*, while coalescing collapses duplicates that are
@@ -65,7 +65,6 @@ from typing import (
 
 import numpy as np
 
-from repro.gaussians.rasterize import BACKENDS
 from repro.serving.cache import CacheStats
 from repro.serving.service import RenderRequest, RenderResponse, RenderService
 from repro.serving.sharded import ShardedRenderService
@@ -449,7 +448,7 @@ class RenderGateway:
     # Coalescing and admission
     # ------------------------------------------------------------------ #
     def _coalesce_key(self, request: RenderRequest) -> tuple:
-        """Identity of a flight: ``(scene, camera, backend, level)``.
+        """Identity of a flight: the request's key (:meth:`RenderRequest.key`).
 
         Two requests with equal keys are the *same work*; the explicit
         ``request.level`` (``None`` when a LOD policy decides) is part of
@@ -457,18 +456,8 @@ class RenderGateway:
         to equal levels, so coalesced duplicates always share their
         leader's exact frame.
         """
-        camera = request.camera
-        backend = request.backend or self.service.backend
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
-        pose = np.ascontiguousarray(camera.world_to_camera)
-        return (
-            self.service.store.resolve_index(request.scene_id),
-            camera.width, camera.height, camera.fx, camera.fy,
-            camera.cx, camera.cy, camera.znear, camera.zfar,
-            pose.tobytes(), backend, request.level,
+        return request.key(
+            self.service.store.resolve_index(request.scene_id), request.level
         )
 
     def _depth(self) -> int:

@@ -1,6 +1,6 @@
 """Render-request serving layer over a :class:`~repro.serving.store.SceneStore`.
 
-A :class:`RenderService` accepts a stream of ``(scene_id, camera, backend)``
+A :class:`RenderService` accepts a stream of ``(scene_id, camera, level)``
 requests against the scenes of a store and serves them faster than a naive
 per-request :func:`repro.gaussians.pipeline.render` loop by exploiting the
 structure of real traffic:
@@ -13,10 +13,10 @@ structure of real traffic:
   a recently served scene skips the quaternion/covariance arithmetic.
 * **Frame memoization** — heavy multi-user traffic concentrates on popular
   viewpoints; fully rendered frames are kept in a second byte-budgeted LRU
-  cache keyed by (scene, camera, render settings) and repeated requests are
-  answered without touching the pipeline at all.  The rasterization backends
-  are bit-identical in FP64 (see PR 1's golden-equivalence suite), so a
-  cached frame is *exactly* the image a fresh render would produce.
+  cache keyed by (scene, level, camera, render settings) and repeated
+  requests are answered without touching the pipeline at all.  Rendering
+  is deterministic in FP64, so a cached frame is *exactly* the image a
+  fresh render would produce.
 
 * **Budget-aware LOD** — served over a
   :class:`~repro.compression.store.CompressedSceneStore`, a ``lod_policy``
@@ -48,14 +48,14 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.gaussians.camera import Camera
 from repro.gaussians.pipeline import RenderResult, render_batch
-from repro.gaussians.rasterize import BACKENDS, DEFAULT_BACKEND
 from repro.serving.cache import CacheStats, LRUByteCache
 from repro.serving.store import SceneStore
 
@@ -77,9 +77,6 @@ class RenderRequest:
         Index (or name) of the scene in the service's store.
     camera:
         Viewpoint to render.
-    backend:
-        Optional Stage-3 backend override (``"scalar"``/``"vectorized"``);
-        defaults to the service's backend.
     level:
         Optional explicit detail level (an explicit quality budget).  When
         ``None`` the service's LOD policy decides (full detail if there is
@@ -88,8 +85,29 @@ class RenderRequest:
 
     scene_id: object
     camera: Camera
-    backend: Optional[str] = None
     level: Optional[int] = None
+
+    def key(self, scene_index: int, level: Optional[int]) -> tuple:
+        """Hashable identity of the request, built from every dataclass field.
+
+        ``scene_id`` and ``level`` enter as the caller's resolved values
+        (``scene_index`` always at position 0); every other field enters
+        as its ``key()`` when it has one (the camera) and as itself
+        otherwise.  A field added to the class, or to a subclass, lands in
+        every key built from this method with no further edit.
+        """
+        return (scene_index, level, *[
+            value.key() if hasattr(value, "key") else value
+            for value in map(self.__getattribute__, _keyed_fields(type(self)))
+        ])
+
+
+@cache
+def _keyed_fields(cls: type) -> Tuple[str, ...]:
+    """Fields of a request class that :meth:`RenderRequest.key` reads as-is."""
+    return tuple(
+        f.name for f in fields(cls) if f.name not in ("scene_id", "level")
+    )
 
 
 @dataclass
@@ -211,8 +229,6 @@ class RenderService:
     ----------
     store:
         The scene store to serve from.
-    backend:
-        Default Stage-3 backend for requests that do not specify one.
     background, sh_degree, collect_stats:
         Render settings applied to every request (uniform settings are what
         make same-scene batching and frame memoization sound).
@@ -235,7 +251,6 @@ class RenderService:
     def __init__(
         self,
         store: SceneStore,
-        backend: Optional[str] = None,
         background=(0.0, 0.0, 0.0),
         sh_degree: Optional[int] = None,
         collect_stats: bool = True,
@@ -243,10 +258,7 @@ class RenderService:
         frame_cache_bytes: Optional[int] = DEFAULT_FRAME_CACHE_BYTES,
         lod_policy=None,
     ):
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
         self.store = store
-        self.backend = backend or DEFAULT_BACKEND
         self.background = tuple(float(v) for v in background)
         self.sh_degree = sh_degree
         self.collect_stats = collect_stats
@@ -300,20 +312,15 @@ class RenderService:
         )
         return min(max(level, 0), self.store.num_levels(scene_index) - 1)
 
-    def _frame_key(self, scene_index: int, level: int, camera: Camera) -> tuple:
+    def _frame_key(
+        self, request: RenderRequest, scene_index: int, level: int
+    ) -> tuple:
         """Cache key identifying a rendered frame.
 
-        The Stage-3 backend is deliberately *not* part of the key: the
-        backends are bit-identical in FP64, so a frame rendered by either
-        one answers requests for both.  The detail level *is* part of the
-        key — frames of different levels are different images.
+        The request's own key at its resolved level (frames of different
+        levels are different images) plus the service's render settings.
         """
-        pose = np.ascontiguousarray(camera.world_to_camera)
-        return (
-            scene_index, level, camera.width, camera.height, camera.fx,
-            camera.fy, camera.cx, camera.cy, camera.znear, camera.zfar,
-            pose.tobytes(), self.sh_degree, self.background,
-        )
+        return request.key(scene_index, level) + (self.sh_degree, self.background)
 
     # ------------------------------------------------------------------ #
     # Serving
@@ -321,7 +328,7 @@ class RenderService:
     def serve(self, requests: Iterable[RenderRequest]) -> ServiceReport:
         """Serve a request stream and return the aggregate report.
 
-        Requests are grouped by (scene, backend, detail level) so each
+        Requests are grouped by (scene, detail level) so each
         group pays the scene-level preprocessing once; responses come back
         in request order, each bit-identical to a standalone
         :func:`repro.gaussians.pipeline.render` of its request at its level.
@@ -330,21 +337,23 @@ class RenderService:
         requests = list(requests)
         responses: List[Optional[RenderResponse]] = [None] * len(requests)
 
-        # Group request indices by (scene, backend, level), preserving
-        # first-seen group order so the stream is served roughly FIFO.
-        groups: "OrderedDict[Tuple[int, str, int], List[int]]" = OrderedDict()
+        # Group request indices by (scene, level), preserving first-seen
+        # group order so the stream is served roughly FIFO.
+        groups: "OrderedDict[Tuple[int, int], List[int]]" = OrderedDict()
         for position, request in enumerate(requests):
-            scene_index = self.store.resolve_index(request.scene_id)
-            backend = request.backend or self.backend
-            if backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {backend!r}; choose from {BACKENDS}"
+            # A camera-less request would otherwise render the scene's
+            # default view under a key that names no view.
+            if not isinstance(request.camera, Camera):
+                raise TypeError(
+                    f"request camera must be a Camera, not "
+                    f"{type(request.camera).__name__}"
                 )
+            scene_index = self.store.resolve_index(request.scene_id)
             level = self._request_level(request, scene_index)
-            groups.setdefault((scene_index, backend, level), []).append(position)
+            groups.setdefault((scene_index, level), []).append(position)
 
         num_batches = 0
-        for (scene_index, backend, level), members in groups.items():
+        for (scene_index, level), members in groups.items():
             # Answer repeated viewpoints from the frame cache; collect the
             # distinct frames that actually need rendering.  Duplicates of a
             # frame already pending in this call are deduplicated without
@@ -353,7 +362,7 @@ class RenderService:
             pending: "OrderedDict[tuple, List[int]]" = OrderedDict()
             for position in members:
                 request = requests[position]
-                key = self._frame_key(scene_index, level, request.camera)
+                key = self._frame_key(request, scene_index, level)
                 if key in pending:
                     pending[key].append(position)
                     continue
@@ -379,7 +388,6 @@ class RenderService:
                     background=self.background,
                     sh_degree=self.sh_degree,
                     collect_stats=self.collect_stats,
-                    backend=backend,
                     covariances=self.scene_covariances(
                         scene_index, level, cloud=scene.cloud
                     ),

@@ -73,7 +73,6 @@ from typing import (
     Tuple,
 )
 
-from repro.gaussians.rasterize import BACKENDS, DEFAULT_BACKEND
 from repro.serving.cache import CacheStats
 from repro.serving.placement import PlacementEvent, PlacementMap
 from repro.serving.service import (
@@ -412,7 +411,7 @@ class ShardedRenderService:
         streams in one whole-stream round (the fastest path) and switches
         to :data:`DEFAULT_DISPATCH_WINDOW` when a failure plan or
         rebalancing is active.
-    backend, background, sh_degree, collect_stats:
+    background, sh_degree, collect_stats:
         Per-shard :class:`~repro.serving.service.RenderService` settings.
     covariance_cache_bytes, frame_cache_bytes:
         Per-shard cache budgets (each worker owns a full budget).
@@ -443,7 +442,6 @@ class ShardedRenderService:
         rebalance: bool = False,
         rebalance_threshold: float = 2.0,
         dispatch_window: Optional[int] = None,
-        backend: Optional[str] = None,
         background=(0.0, 0.0, 0.0),
         sh_degree: Optional[int] = None,
         collect_stats: bool = True,
@@ -454,8 +452,6 @@ class ShardedRenderService:
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
         if replication < 1:
             raise ValueError("replication must be at least 1")
         if rebalance_threshold <= 1.0:
@@ -464,7 +460,6 @@ class ShardedRenderService:
             raise ValueError("dispatch_window must be at least 1 (or None)")
         self.store = store
         self.num_workers = int(num_workers)
-        self.backend = backend or DEFAULT_BACKEND
         self.background = tuple(float(v) for v in background)
         self.replication = min(int(replication), self.num_workers)
         self.rebalance = bool(rebalance)
@@ -477,7 +472,6 @@ class ShardedRenderService:
             int(dispatch_window) if dispatch_window is not None else None
         )
         self._service_kwargs = dict(
-            backend=backend,
             background=self.background,
             sh_degree=sh_degree,
             collect_stats=collect_stats,
@@ -693,17 +687,9 @@ class ShardedRenderService:
         requests = list(requests)
         history_start = len(self.placement.history)
 
-        # Resolve and validate up front so a bad request raises before any
-        # dispatch, leaving no pipe desynced.
-        resolved: List[int] = []
-        for request in requests:
-            scene_index = self.store.resolve_index(request.scene_id)
-            backend = request.backend
-            if backend is not None and backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {backend!r}; choose from {BACKENDS}"
-                )
-            resolved.append(scene_index)
+        # Resolve up front so a bad request raises before any dispatch,
+        # leaving no pipe desynced.
+        resolved = [self.store.resolve_index(r.scene_id) for r in requests]
         if failure_plan is not None:
             for _, worker in failure_plan.kills:
                 if worker >= self.num_workers:

@@ -30,7 +30,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -114,7 +114,6 @@ def generate_requests(
     seed: int = 0,
     zipf_exponent: float = DEFAULT_ZIPF_EXPONENT,
     hotspot_fraction: float = DEFAULT_HOTSPOT_FRACTION,
-    backends: Optional[Sequence[str]] = None,
 ) -> List[RenderRequest]:
     """Generate a seeded request stream with configurable popularity skew.
 
@@ -122,9 +121,7 @@ def generate_requests(
     that have cameras; the viewpoint is drawn uniformly from the chosen
     scene's own cameras (popular *scenes*, not popular frames, are what
     shard affinity exploits — frame-level reuse still emerges once
-    ``num_requests`` exceeds the distinct viewpoint count).  When
-    ``backends`` is given, each request's Stage-3 backend override is drawn
-    uniformly from it.
+    ``num_requests`` exceeds the distinct viewpoint count).
 
     The stream is a pure function of the arguments: replaying the same
     ``(pattern, seed)`` pair against the same store reproduces the exact
@@ -154,12 +151,7 @@ def generate_requests(
             scene_index = int(rng.choice(eligible, p=popularity))
         cameras = store.get_cameras(scene_index)
         camera = cameras[int(rng.integers(len(cameras)))]
-        backend = None
-        if backends:
-            backend = backends[int(rng.integers(len(backends)))]
-        requests.append(
-            RenderRequest(scene_id=scene_index, camera=camera, backend=backend)
-        )
+        requests.append(RenderRequest(scene_id=scene_index, camera=camera))
     return requests
 
 
@@ -309,13 +301,10 @@ def synthetic_request_trace(
     store: SceneStore,
     num_requests: int,
     seed: int = 0,
-    backends: Optional[Sequence[str]] = None,
 ) -> List[RenderRequest]:
     """Uniform random request trace (PR-2 compatible).
 
     Thin wrapper over :func:`generate_requests` with ``pattern="uniform"``;
     kept so existing callers and pinned traces keep working.
     """
-    return generate_requests(
-        store, num_requests, pattern="uniform", seed=seed, backends=backends
-    )
+    return generate_requests(store, num_requests, pattern="uniform", seed=seed)

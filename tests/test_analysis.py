@@ -35,7 +35,6 @@ REPO_ROOT = Path(__file__).parent.parent
 
 RULE_IDS = (
     "determinism",
-    "cache-key",
     "async-blocking",
     "async-state",
     "repr-hygiene",
@@ -44,7 +43,6 @@ RULE_IDS = (
 #: fixture stem -> the single rule its findings must all carry.
 BAD_FIXTURES = {
     "bad_determinism": "determinism",
-    "bad_cachekey": "cache-key",
     "bad_async_blocking": "async-blocking",
     "bad_async_state": "async-state",
     "bad_repr": "repr-hygiene",
@@ -52,7 +50,6 @@ BAD_FIXTURES = {
 
 GOOD_FIXTURES = (
     "good_determinism",
-    "good_cachekey",
     "good_async_blocking",
     "good_async_state",
     "good_repr",
@@ -93,25 +90,6 @@ class TestRuleFixtures:
         assert len(findings) == 7
         assert [finding.line for finding in findings] == list(range(7, 14))
 
-    def test_dropping_level_from_frame_key_fails(self):
-        """The PR-4 regression: a frame key without ``level`` must fail."""
-        messages = [finding.message for finding in lint_fixture("bad_cachekey")]
-        assert any(
-            "_frame_key" in message and "'level'" in message
-            for message in messages
-        )
-
-    def test_coalesce_key_has_no_exemptions(self):
-        messages = [finding.message for finding in lint_fixture("bad_cachekey")]
-        assert any(
-            "_coalesce_key" in message and "'backend'" in message
-            for message in messages
-        )
-
-    def test_frame_key_backend_exemption_holds(self):
-        """good_cachekey's frame key omits backend yet lints clean."""
-        assert lint_fixture("good_cachekey") == []
-
     def test_unseeded_default_rng_fails(self):
         findings = lint_source(
             "import numpy as np\nrng = np.random.default_rng()\n"
@@ -122,20 +100,6 @@ class TestRuleFixtures:
         assert lint_source(
             "import numpy as np\nrng = np.random.default_rng(123)\n"
         ) == []
-
-    def test_future_request_dimension_fails_everywhere(self):
-        """Adding a request field (epoch) breaks every key site at once."""
-        source = (FIXTURES / "good_cachekey.py").read_text().replace(
-            "    level: int", "    level: int\n    epoch: int"
-        )
-        findings = lint_source(source)
-        missing = [
-            finding.message
-            for finding in findings
-            if "'epoch'" in finding.message
-        ]
-        # Both the frame key and the coalesce key must now be incomplete.
-        assert len(missing) == 2
 
 
 class TestSuppressions:
@@ -190,13 +154,13 @@ class TestReporters:
 
     def test_github_format_emits_workflow_commands(self):
         finding = Finding(
-            rule="cache-key", path="src/a.py", line=7, col=2,
+            rule="determinism", path="src/a.py", line=7, col=2,
             message="bad, very: 100% wrong\nsecond line",
         )
         report = render_github([finding], num_files=1)
         command = report.splitlines()[0]
         assert command.startswith(
-            "::error file=src/a.py,line=7,col=2,title=cache-key::"
+            "::error file=src/a.py,line=7,col=2,title=determinism::"
         )
         # Workflow-command escaping: %, newline in data; the summary line
         # stays plain text.

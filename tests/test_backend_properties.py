@@ -1,7 +1,7 @@
-"""Property-based invariants of the rasterization backends.
+"""Property-based invariants of the Stage-3 tile loops.
 
-Hypothesis-driven checks that hold for *both* the scalar and the vectorized
-backend regardless of input:
+Hypothesis-driven checks that hold for *both* the product's vectorized
+tile engine and the per-Gaussian oracle loop regardless of input:
 
 * alpha values stay inside ``[0, ALPHA_MAX]``,
 * per-pixel transmittance is monotonically non-increasing as more Gaussians
@@ -9,7 +9,7 @@ backend regardless of input:
   tile under a white and a black background isolates ``T_final``),
 * an empty tile leaves the background fully visible,
 * the footprint cull's alpha bound is never below a computed alpha, and
-  the vectorized backend's counters reconcile with the scalar loop's
+  the product engine's counters reconcile with the oracle loop's
   whatever rows the cull drops.
 """
 
@@ -33,7 +33,8 @@ from repro.gaussians.rasterize import (
 )
 from repro.gaussians.tiles import TileGrid
 
-BACKEND_FUNCTIONS = {
+#: The per-tile oracle (``scalar``) and the product engine (``vectorized``).
+TILE_LOOPS = {
     "scalar": rasterize_tile,
     "vectorized": rasterize_tile_vectorized,
 }
@@ -83,14 +84,14 @@ def _random_anisotropic_projected(rng, count, extent=16.0, reach=24.0):
     )
 
 
-def _final_transmittance(backend_fn, projected, indices, pixels):
+def _final_transmittance(tile_fn, projected, indices, pixels):
     """Recover per-pixel exit transmittance from the background term.
 
     ``C = sum_i T_i alpha_i c_i + T_final * background``, so rendering with a
     white and a black background differs by exactly ``T_final`` per channel.
     """
-    white = backend_fn(projected, indices, pixels, np.ones(3))
-    black = backend_fn(projected, indices, pixels, np.zeros(3))
+    white = tile_fn(projected, indices, pixels, np.ones(3))
+    black = tile_fn(projected, indices, pixels, np.zeros(3))
     diff = white - black
     # All three channels carry the same transmittance.
     assert np.allclose(diff[:, 0], diff[:, 1], atol=1e-12)
@@ -130,41 +131,41 @@ class TestAlphaBounds:
 
 
 class TestTransmittanceInvariants:
-    @pytest.mark.parametrize("backend", sorted(BACKEND_FUNCTIONS))
+    @pytest.mark.parametrize("loop", sorted(TILE_LOOPS))
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
-    def test_transmittance_monotonically_non_increasing(self, backend, seed):
+    def test_transmittance_monotonically_non_increasing(self, loop, seed):
         rng = np.random.default_rng(seed)
         count = int(rng.integers(1, 20))
         projected = _random_projected(rng, count)
         grid = TileGrid(width=16, height=16)
         pixels = grid.tile_pixel_centers(0)
         indices = np.argsort(projected.depths, kind="stable")
-        backend_fn = BACKEND_FUNCTIONS[backend]
+        tile_fn = TILE_LOOPS[loop]
 
         previous = np.ones(len(pixels))
         for prefix in range(count + 1):
             current = _final_transmittance(
-                backend_fn, projected, indices[:prefix], pixels
+                tile_fn, projected, indices[:prefix], pixels
             )
             assert np.all(current >= -1e-15)
             assert np.all(current <= 1.0 + 1e-12)
             assert np.all(current <= previous + 1e-12)
             previous = current
 
-    @pytest.mark.parametrize("backend", sorted(BACKEND_FUNCTIONS))
-    def test_background_fully_visible_on_empty_tile(self, backend):
+    @pytest.mark.parametrize("loop", sorted(TILE_LOOPS))
+    def test_background_fully_visible_on_empty_tile(self, loop):
         rng = np.random.default_rng(0)
         projected = _random_projected(rng, 5)
         grid = TileGrid(width=16, height=16)
         pixels = grid.tile_pixel_centers(0)
         background = np.array([0.9, 0.4, 0.2])
-        color = BACKEND_FUNCTIONS[backend](
+        color = TILE_LOOPS[loop](
             projected, np.empty(0, dtype=np.int64), pixels, background
         )
         assert np.array_equal(color, np.tile(background, (len(pixels), 1)))
         transmittance = _final_transmittance(
-            BACKEND_FUNCTIONS[backend], projected, np.empty(0, dtype=np.int64), pixels
+            TILE_LOOPS[loop], projected, np.empty(0, dtype=np.int64), pixels
         )
         assert np.array_equal(transmittance, np.ones(len(pixels)))
 

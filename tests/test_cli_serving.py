@@ -313,8 +313,11 @@ class TestLintCommand:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("determinism", "cache-key", "repr-hygiene"):
+        for rule_id in (
+            "determinism", "async-blocking", "async-state", "repr-hygiene",
+        ):
             assert f"{rule_id}:" in out
+        assert "cache-key" not in out
 
     def test_rule_subset_runs_only_that_rule(self, capsys):
         assert main([
@@ -325,7 +328,7 @@ class TestLintCommand:
     def test_baseline_grandfathers_findings(self, tmp_path, capsys):
         from repro.analysis import Baseline, lint_paths
 
-        bad = f"{self.FIXTURES}/bad_cachekey.py"
+        bad = f"{self.FIXTURES}/bad_determinism.py"
         findings, _ = lint_paths([bad])
         baseline = tmp_path / "baseline.json"
         Baseline(

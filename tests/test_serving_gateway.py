@@ -277,13 +277,6 @@ class TestReportAndValidation:
             RenderGateway(service, num_lanes=0)
         assert set(OVERLOAD_POLICIES) == {"block", "shed-oldest", "reject"}
 
-    def test_unknown_backend_is_rejected(self, store, trace):
-        bad = RenderRequest(
-            scene_id=0, camera=store.get_cameras(0)[0], backend="cuda"
-        )
-        with pytest.raises(ValueError, match="unknown backend"):
-            RenderGateway(RenderService(store)).serve([bad])
-
     def test_submit_outside_a_running_gateway_raises(self, store, trace):
         gateway = RenderGateway(RenderService(store))
         with pytest.raises(RuntimeError, match="not running"):

@@ -246,29 +246,6 @@ class TestRenderService:
             )
             assert np.array_equal(response.image, golden.image)
 
-    def test_mixed_backends_share_the_frame_cache(self, store):
-        camera = store.get_cameras(1)[0]
-        trace = [
-            RenderRequest(scene_id=1, camera=camera, backend="scalar"),
-            RenderRequest(scene_id=1, camera=camera, backend="vectorized"),
-        ]
-        report = RenderService(store).serve(trace)
-        # Backends are bit-identical, so the second request reuses the frame.
-        assert report.num_rendered == 1
-        assert np.array_equal(
-            report.responses[0].image, report.responses[1].image
-        )
-
-    def test_unknown_backend_rejected(self, store):
-        with pytest.raises(ValueError):
-            RenderService(store, backend="cuda")
-        service = RenderService(store)
-        camera = store.get_cameras(0)[0]
-        with pytest.raises(ValueError):
-            service.serve([
-                RenderRequest(scene_id=0, camera=camera, backend="cuda")
-            ])
-
     def test_latencies_and_throughput_reported(self, store):
         trace = synthetic_request_trace(store, 15, seed=2)
         report = RenderService(store).serve(trace)
@@ -291,6 +268,12 @@ class TestRenderService:
             RenderRequest(scene_id=2, camera=camera)
         ).from_cache
 
+    def test_camera_less_request_rejected(self, store):
+        # Rendering would fall back to the scene's default view, which the
+        # frame key could not tell apart from any other camera-less request.
+        with pytest.raises(TypeError, match="request camera must be a Camera"):
+            RenderService(store).serve([RenderRequest(scene_id=0, camera=None)])
+
     def test_scene_lookup_by_name(self, store):
         camera = store.get_cameras(0)[0]
         response = RenderService(store).submit(
@@ -308,10 +291,8 @@ class TestRenderService:
             synthetic_request_trace(SceneStore(), 5)
         with pytest.raises(ValueError):
             synthetic_request_trace(store, -1)
-        trace = synthetic_request_trace(store, 8, seed=0,
-                                        backends=("scalar", "vectorized"))
+        trace = synthetic_request_trace(store, 8, seed=0)
         assert len(trace) == 8
-        assert all(t.backend in ("scalar", "vectorized") for t in trace)
 
 
 class TestTraceEvaluation:

@@ -174,14 +174,8 @@ class TestShardedRenderService:
     def test_validation_and_lifecycle(self, store):
         with pytest.raises(ValueError):
             ShardedRenderService(store, num_workers=0)
-        with pytest.raises(ValueError):
-            ShardedRenderService(store, num_workers=2, backend="cuda")
         fleet = ShardedRenderService(store, num_workers=2)
         camera = store.get_cameras(0)[0]
-        with pytest.raises(ValueError):
-            fleet.serve(
-                [RenderRequest(scene_id=0, camera=camera, backend="cuda")]
-            )
         fleet.close()
         fleet.close()  # idempotent
         with pytest.raises(RuntimeError):

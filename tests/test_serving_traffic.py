@@ -132,13 +132,6 @@ class TestGenerateRequests:
                 a.camera.world_to_camera, b.camera.world_to_camera
             )
 
-    def test_backend_overrides(self, store):
-        trace = generate_requests(
-            store, 20, pattern="hotspot", seed=1,
-            backends=("scalar", "vectorized"),
-        )
-        assert {t.backend for t in trace} <= {"scalar", "vectorized"}
-
     def test_validation(self, store):
         with pytest.raises(ValueError):
             generate_requests(store, -1)

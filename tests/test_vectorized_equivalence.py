@@ -1,7 +1,9 @@
-"""Golden-equivalence suite: vectorized backend vs the scalar golden model.
+"""Golden-equivalence suite (contract 1): product Stage 3 vs the oracle.
 
-The vectorized rasterization backend must be indistinguishable from the
-per-Gaussian scalar loop: FP64 images equal **bit-for-bit** and every
+The product rasterizer (``rasterize_tiles``, running the vectorized tile
+engine) must be indistinguishable from the per-Gaussian oracle loop
+(``rasterize_tile``, walked over the frame by the ``oracle_tiles``
+fixture): FP64 images equal **bit-for-bit** and every
 :class:`~repro.gaussians.rasterize.RasterStats` counter equal
 field-for-field, across randomized synthetic scenes, chunk-boundary edge
 cases and the batched multi-camera API.
@@ -21,7 +23,6 @@ from repro.gaussians.rasterize import (
     rasterize_tile,
     rasterize_tile_vectorized,
     rasterize_tiles,
-    resolve_backend,
 )
 from repro.gaussians.sorting import bin_and_sort
 from repro.gaussians.synthetic import SyntheticConfig, make_synthetic_scene
@@ -42,43 +43,43 @@ def _random_projected(rng, count, extent=48.0, opacity_max=1.0):
     )
 
 
-def _assert_stats_identical(scalar: RasterStats, vectorized: RasterStats):
-    assert scalar.fragments_evaluated == vectorized.fragments_evaluated
-    assert scalar.fragments_blended == vectorized.fragments_blended
-    assert scalar.tiles_processed == vectorized.tiles_processed
-    assert scalar.per_tile_gaussians == vectorized.per_tile_gaussians
+def _assert_stats_identical(oracle: RasterStats, product: RasterStats):
+    assert oracle.fragments_evaluated == product.fragments_evaluated
+    assert oracle.fragments_blended == product.fragments_blended
+    assert oracle.tiles_processed == product.tiles_processed
+    assert oracle.per_tile_gaussians == product.per_tile_gaussians
 
 
 class TestFrameEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_frames_bit_identical(self, seed):
+    def test_random_frames_bit_identical(self, seed, oracle_tiles):
         rng = np.random.default_rng(seed)
         projected = _random_projected(rng, int(rng.integers(5, 60)))
         grid = TileGrid(width=64, height=48)
         binning = bin_and_sort(projected, grid)
         background = rng.uniform(0.0, 1.0, size=3)
 
-        scalar_image, scalar_stats = rasterize_tiles(
-            projected, binning, background=background, backend="scalar"
+        oracle_image, oracle_stats = oracle_tiles(
+            projected, binning, background=background
         )
-        vector_image, vector_stats = rasterize_tiles(
-            projected, binning, background=background, backend="vectorized"
+        product_image, product_stats = rasterize_tiles(
+            projected, binning, background=background
         )
-        assert np.array_equal(scalar_image, vector_image)
-        _assert_stats_identical(scalar_stats, vector_stats)
+        assert np.array_equal(oracle_image, product_image)
+        _assert_stats_identical(oracle_stats, product_stats)
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_synthetic_scene_render_bit_identical(self, seed):
+    def test_synthetic_scene_render_bit_identical(self, seed, oracle_tiles):
         config = SyntheticConfig(
             num_gaussians=500, width=96, height=64, seed=seed
         )
         scene = make_synthetic_scene(config)
-        scalar = render(scene, backend="scalar")
-        vectorized = render(scene, backend="vectorized")
-        assert np.array_equal(scalar.image, vectorized.image)
-        _assert_stats_identical(scalar.raster_stats, vectorized.raster_stats)
+        product = render(scene)
+        image, stats = oracle_tiles(product.projected, product.binning)
+        assert np.array_equal(image, product.image)
+        _assert_stats_identical(stats, product.raster_stats)
 
-    def test_deep_tiles_with_early_termination(self):
+    def test_deep_tiles_with_early_termination(self, oracle_tiles):
         # Many nearly opaque splats stacked on one spot: exercises per-pixel
         # freezing, column narrowing and the whole-tile break.
         rng = np.random.default_rng(11)
@@ -93,30 +94,26 @@ class TestFrameEquivalence:
         )
         grid = TileGrid(width=48, height=48)
         binning = bin_and_sort(projected, grid)
-        scalar_image, scalar_stats = rasterize_tiles(
-            projected, binning, backend="scalar"
-        )
-        vector_image, vector_stats = rasterize_tiles(
-            projected, binning, backend="vectorized"
-        )
-        assert np.array_equal(scalar_image, vector_image)
-        _assert_stats_identical(scalar_stats, vector_stats)
+        oracle_image, oracle_stats = oracle_tiles(projected, binning)
+        product_image, product_stats = rasterize_tiles(projected, binning)
+        assert np.array_equal(oracle_image, product_image)
+        _assert_stats_identical(oracle_stats, product_stats)
         # Early termination must actually have kicked in for the test to
         # exercise the freeze path.
         nominal = binning.num_keys * grid.pixels_per_tile
-        assert scalar_stats.fragments_evaluated < nominal
+        assert oracle_stats.fragments_evaluated < nominal
 
-    def test_empty_scene_bit_identical(self):
+    def test_empty_scene_bit_identical(self, oracle_tiles):
         grid = TileGrid(width=32, height=32)
         empty = ProjectedGaussians.empty()
         binning = bin_and_sort(empty, grid)
-        scalar_image, _ = rasterize_tiles(
-            empty, binning, background=(0.3, 0.5, 0.7), backend="scalar"
+        oracle_image, _ = oracle_tiles(
+            empty, binning, background=(0.3, 0.5, 0.7)
         )
-        vector_image, _ = rasterize_tiles(
-            empty, binning, background=(0.3, 0.5, 0.7), backend="vectorized"
+        product_image, _ = rasterize_tiles(
+            empty, binning, background=(0.3, 0.5, 0.7)
         )
-        assert np.array_equal(scalar_image, vector_image)
+        assert np.array_equal(oracle_image, product_image)
 
 
 class TestTileEquivalence:
@@ -129,15 +126,15 @@ class TestTileEquivalence:
         indices = np.argsort(projected.depths, kind="stable")
         background = np.array([0.2, 0.1, 0.4])
 
-        scalar_stats = RasterStats()
-        scalar = rasterize_tile(projected, indices, pixels, background, scalar_stats)
-        vector_stats = RasterStats()
+        oracle_stats = RasterStats()
+        oracle = rasterize_tile(projected, indices, pixels, background, oracle_stats)
+        product_stats = RasterStats()
         vectorized = rasterize_tile_vectorized(
-            projected, indices, pixels, background, vector_stats,
+            projected, indices, pixels, background, product_stats,
             chunk_size=chunk_size,
         )
-        assert np.array_equal(scalar, vectorized)
-        _assert_stats_identical(scalar_stats, vector_stats)
+        assert np.array_equal(oracle, vectorized)
+        _assert_stats_identical(oracle_stats, product_stats)
 
     def test_empty_tile_returns_background(self):
         grid = TileGrid(width=16, height=16)
@@ -205,27 +202,25 @@ class TestBatchEquivalence:
             result.num_sort_keys for result in batch.results
         )
 
-    def test_batch_backends_agree(self):
+    def test_batch_backends_agree(self, oracle_tiles):
         config = SyntheticConfig(num_gaussians=200, width=64, height=48, seed=4)
         scene = make_synthetic_scene(config, num_cameras=2)
-        scalar = render_batch(scene, backend="scalar")
-        vectorized = render_batch(scene, backend="vectorized")
-        assert np.array_equal(scalar.images, vectorized.images)
-        _assert_stats_identical(scalar.raster_stats, vectorized.raster_stats)
+        product = render_batch(scene)
+        oracle = [
+            oracle_tiles(result.projected, result.binning)
+            for result in product.results
+        ]
+        assert np.array_equal(
+            np.stack([image for image, _ in oracle]), product.images
+        )
+        _assert_stats_identical(
+            RasterStats.merged(stats for _, stats in oracle),
+            product.raster_stats,
+        )
 
     def test_batch_requires_a_camera(self, synthetic_scene):
         with pytest.raises(ValueError):
             render_batch(synthetic_scene, cameras=[])
-
-
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self, synthetic_scene):
-        with pytest.raises(ValueError, match="unknown rasterization backend"):
-            render(synthetic_scene, backend="gpu")
-
-    def test_none_maps_to_default(self):
-        assert resolve_backend(None) in ("scalar", "vectorized")
-        assert resolve_backend("scalar") == "scalar"
 
 
 class TestMergedStats:
