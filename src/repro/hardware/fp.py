@@ -2,11 +2,14 @@
 
 The paper's prototype uses FP32 for all computations (Section V-A); the
 GSCore comparison in Section V-C re-implements the datapath at FP16.  This
-module provides a small precision abstraction: every arithmetic result of
-the functional-unit models is rounded to the active precision, so the FP32
-datapath matches the software renderer bit-for-bit (both are IEEE binary32
-computations evaluated in double precision and rounded), while the FP16
-datapath exhibits the expected quantisation error.
+module provides a small precision abstraction.  Operands enter the datapath
+once, rounded to the active precision's dtype by :func:`narrow`, and the
+functional-unit models then compute natively in that dtype: every add, sub,
+mul and div is one correctly rounded IEEE binary32 (or binary16) operation,
+which is exactly what rounding the double-precision result would give,
+since double precision has more than ``2p + 2`` significand bits for both
+formats.  Only the exponent unit computes in double precision and rounds
+once.  The FP16 datapath exhibits the expected quantisation error.
 """
 
 from __future__ import annotations
@@ -43,16 +46,23 @@ class Precision(Enum):
         return 23 if self is Precision.FP32 else 10
 
 
+def narrow(values, precision: Precision) -> np.ndarray:
+    """Round ``values`` to ``precision`` and return them in its dtype.
+
+    Values beyond the format's range become infinities, as in hardware.
+    """
+    array = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return array.astype(precision.dtype)
+
+
 def quantize(values, precision: Precision) -> np.ndarray:
     """Round ``values`` to ``precision`` and return them as float64.
 
     The round-trip through the narrow dtype reproduces the precision loss of
-    the hardware datapath while keeping downstream arithmetic in float64 so
-    that the *accumulation* error of the model itself stays negligible.
+    the hardware datapath for callers that keep computing in float64.
     """
-    array = np.asarray(values, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        return array.astype(precision.dtype).astype(np.float64)
+    return narrow(values, precision).astype(np.float64)
 
 
 def max_relative_error(precision: Precision) -> float:

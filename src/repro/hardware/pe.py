@@ -11,16 +11,21 @@ It contains three groups of logic:
   unit added by GauRast, plus the input multiplexers that select between the
   two modes.
 
-The implementation here is *functional*: every arithmetic step goes through
-the :class:`~repro.hardware.units.DatapathUnits` so the result is rounded to
-the datapath precision and the operation is tallied.  The datapath is
-written lane-parallel: :func:`gaussian_datapath` and
-:func:`triangle_datapath` apply one primitive to pixels owned by several PEs
-at once.  :class:`ProcessingElement` makes their single-lane call, and the
-PE block (:mod:`repro.hardware.pe_block`) calls them once per primitive for
-a whole tile.  The same code path is exercised by the cycle-level instance
-simulator, which is how the paper's "RTL output matches the software
-implementation" validation is reproduced.
+The implementation here is *functional*: operands enter in the datapath
+precision's dtype and every arithmetic step is computed natively in it, so
+each result is rounded exactly as the hardware rounds it, and every
+operation is tallied in the :class:`~repro.hardware.units.DatapathUnits`.
+The triangle datapath calls the units op by op.  The Gaussian datapath
+evaluates subtasks 1-2 for a whole primitive batch at once and charges its
+tally from :data:`GAUSSIAN_SUBTASK_OPS` times the fragments actually
+evaluated and blended.  The datapath is written lane-parallel:
+:func:`gaussian_datapath` and :func:`triangle_datapath` apply primitives to
+pixels owned by several PEs at once.  :class:`ProcessingElement` makes
+their single-lane call (a one-row batch in Gaussian mode), and the PE block
+(:mod:`repro.hardware.pe_block`) calls them for a whole tile: once per
+batch of Gaussians, once per triangle.  The same code path is exercised by
+the cycle-level instance simulator, which is how the paper's "RTL output
+matches the software implementation" validation is reproduced.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from repro.gaussians.rasterize import (
     TRANSMITTANCE_EPSILON,
 )
 from repro.hardware.config import GauRastConfig
-from repro.hardware.fp import Precision, quantize
+from repro.hardware.fp import Precision, narrow, quantize
 from repro.hardware.units import DatapathUnits, OperationTally
 
 #: Hardware resource inventory of one PE, by logic group (unit kind -> count).
@@ -93,16 +98,21 @@ class OperationCounts:
 
 @dataclass
 class GaussianPixelState:
-    """Accumulator state of a set of pixels in Gaussian mode."""
+    """Accumulator state of a set of pixels in Gaussian mode.
+
+    The datapath keeps the state in its own dtype; a state of another
+    float dtype (the float64 default) is rounded on entry to each datapath
+    call and written back exactly.
+    """
 
     color: np.ndarray = field(repr=False)  # (P, 3)
     transmittance: np.ndarray = field(repr=False)  # (P,)
 
     @classmethod
-    def initial(cls, num_pixels: int) -> "GaussianPixelState":
+    def initial(cls, num_pixels: int, dtype=np.float64) -> "GaussianPixelState":
         return cls(
-            color=np.zeros((num_pixels, 3), dtype=np.float64),
-            transmittance=np.ones(num_pixels, dtype=np.float64),
+            color=np.zeros((num_pixels, 3), dtype=dtype),
+            transmittance=np.ones(num_pixels, dtype=dtype),
         )
 
 
@@ -125,40 +135,58 @@ class TrianglePixelState:
         )
 
 
+#: Per-fragment operations of subtasks 1-2, run on every active fragment,
+#: and of subtasks 3-4, run on every active fragment of a blending PE.
+_EVALUATE_OPS = subtask_totals(
+    {name: GAUSSIAN_SUBTASK_OPS[name] for name in ("coordinate_shift", "probability")}
+)
+_BLEND_OPS = subtask_totals(
+    {name: GAUSSIAN_SUBTASK_OPS[name] for name in ("color_weight", "accumulation")}
+)
+
+#: The thresholds as float64 scalars: a Python float compared with a
+#: float32 or float16 array is rounded to that dtype first, and
+#: ``np.float32(1e-4) >= 1e-4`` would then hold.
+_TRANSMITTANCE_EPSILON = np.float64(TRANSMITTANCE_EPSILON)
+_ALPHA_SKIP_THRESHOLD = np.float64(ALPHA_SKIP_THRESHOLD)
+
+
 def gaussian_datapath(
     units: DatapathUnits,
     pixels: np.ndarray,
     lanes: np.ndarray,
     num_lanes: int,
     state: GaussianPixelState,
-    primitive: np.ndarray,
+    primitives: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply one Gaussian to pixels owned by ``num_lanes`` PEs in one pass.
+    """Apply a batch of Gaussians, in order, to pixels owned by ``num_lanes`` PEs.
 
     Parameters
     ----------
     units:
-        Functional units; every operation is rounded to their precision and
-        tallied in their tally.
+        Functional units: their precision sets the dtype every operation
+        is computed in, their exponent unit evaluates ``exp``, and the
+        operations are charged to their tally.
     pixels:
-        ``(P, 2)`` pixel centres, already quantized to the datapath precision.
+        ``(P, 2)`` pixel centres, already rounded to the datapath precision
+        (they are used in its dtype).
     lanes:
         ``(P,)`` index of the PE owning each pixel, in ``[0, num_lanes)``.
     num_lanes:
         Number of PEs the pixels are spread over.
     state:
         Accumulator state of the ``P`` pixels; updated in place.
-    primitive:
-        The 9 rasterizer inputs
-        ``[conic_a, conic_b, conic_c, opacity, mu_x, mu_y, r, g, b]``,
-        already quantized.
+    primitives:
+        ``(B, 9)`` rasterizer inputs
+        ``[conic_a, conic_b, conic_c, opacity, mu_x, mu_y, r, g, b]`` in
+        front-to-back order, already rounded to the datapath precision.
 
     Returns
     -------
     evaluated:
-        ``(num_lanes,)`` fragments each PE evaluated.
+        ``(num_lanes,)`` fragments each PE evaluated over the batch.
     blended:
-        ``(num_lanes,)`` whether each PE ran subtasks 3-4.
+        ``(num_lanes,)`` fragments on which each PE ran subtasks 3-4.
 
     Notes
     -----
@@ -170,75 +198,107 @@ def gaussian_datapath(
     the alpha threshold, and only the passing pixels update their state.
     Every step is elementwise, so a pixel's result does not depend on which
     other pixels share the pass.
+
+    Subtasks 1-2 do not read the pixel state, so they run once for the
+    whole batch against every pixel as ``(B, P)`` arrays.  Only the active
+    mask and subtasks 3-4 stay in the per-primitive loop; the per-lane
+    counts are read off the recorded active masks after it.  The
+    operations are charged to the tally once per call, as the
+    :data:`GAUSSIAN_SUBTASK_OPS` counts times the active (subtasks 1-2) and
+    blended (subtasks 3-4) fragments; activity is still decided per
+    primitive, so the tally is exact.
+
+    The alpha clamp to ``ALPHA_MAX`` and the thresholds are applied in
+    float64, where ``ALPHA_MAX`` is exact: quantized opacities near 0.99
+    round up past it in both FP32 and FP16.  A clamped alpha therefore
+    enters ``T * alpha`` and ``1 - alpha`` in float64, and each of the two
+    results is rounded once.
     """
-    conic_a, conic_b, conic_c, opacity, mu_x, mu_y = primitive[:6]
-    color = primitive[6:9]
+    dtype = units.precision.dtype
+    pixels = pixels.astype(dtype, copy=False)
+    primitives = primitives.astype(dtype, copy=False)
+    conic_a, conic_b, conic_c, opacity, mu_x, mu_y = (
+        primitives[:, column, np.newaxis] for column in range(6)
+    )
+    rgb = primitives[:, 6:9]
+    px = pixels[:, 0]
+    py = pixels[:, 1]
+    color = state.color.astype(dtype, copy=False)
+    transmittance = state.transmittance.astype(dtype, copy=False)
 
-    active = np.flatnonzero(state.transmittance >= TRANSMITTANCE_EPSILON)
-    active_lanes = lanes[active]
-    evaluated = np.bincount(active_lanes, minlength=num_lanes)
-    blended = np.zeros(num_lanes, dtype=bool)
-    if len(active) == 0:
-        return evaluated, blended
+    with np.errstate(over="ignore"):
+        # Subtask 1: coordinate shift.
+        dx = px - mu_x
+        dy = py - mu_y
 
-    pixels = pixels[active]
-    adder = units.adder
-    multiplier = units.multiplier
-    exponent = units.exponent
+        # Subtask 2: Gaussian probability computation.
+        quad = conic_a * (dx * dx) + conic_c * (dy * dy)
+        power = -0.5 * quad - (conic_b * dx) * dy
+        alpha = opacity * units.exponent.evaluate(np.minimum(power, 0.0))
+        # A positive exponent cannot occur for a valid conic; guard exactly
+        # like the reference rasterizer by dropping such fragments.
+        alpha = np.where(power > 0.0, 0.0, np.minimum(alpha.astype(np.float64), ALPHA_MAX))
+        passes = alpha >= _ALPHA_SKIP_THRESHOLD
+        one_minus_alpha = narrow(1.0 - alpha, units.precision)
 
-    # Subtask 1: coordinate shift.
-    dx = adder.sub(pixels[:, 0], mu_x)
-    dy = adder.sub(pixels[:, 1], mu_y)
+        active = np.zeros(passes.shape, dtype=bool)
+        for row in range(len(primitives)):
+            live = transmittance >= _TRANSMITTANCE_EPSILON
+            active[row] = live
+            update = live & passes[row]
+            if not update.any():
+                if not live.any():
+                    break  # every pixel has terminated
+                continue
 
-    # Subtask 2: Gaussian probability computation.
-    dx2 = multiplier.mul(dx, dx)
-    dy2 = multiplier.mul(dy, dy)
-    a_dx2 = multiplier.mul(conic_a, dx2)
-    c_dy2 = multiplier.mul(conic_c, dy2)
-    quad = adder.add(a_dx2, c_dy2)
-    half_quad = multiplier.mul(-0.5, quad)
-    b_dx = multiplier.mul(conic_b, dx)
-    b_dxdy = multiplier.mul(b_dx, dy)
-    power = adder.sub(half_quad, b_dxdy)
-    exp_power = exponent.exp(np.minimum(power, 0.0))
-    alpha = multiplier.mul(opacity, exp_power)
-    # A positive exponent cannot occur for a valid conic; guard exactly like
-    # the reference rasterizer by dropping such fragments.
-    alpha = np.where(power > 0.0, 0.0, np.minimum(alpha, ALPHA_MAX))
+            # Subtask 3: colour weight computation.
+            weight = (transmittance * alpha[row]).astype(dtype)
+            # Subtask 4: colour accumulation and transmittance update, kept
+            # on the passing pixels.
+            color = np.where(
+                update[:, np.newaxis], color + weight[:, np.newaxis] * rgb[row], color
+            )
+            transmittance = np.where(
+                update, transmittance * one_minus_alpha[row], transmittance
+            )
 
-    contributes = alpha >= ALPHA_SKIP_THRESHOLD
-    if not np.any(contributes):
-        return evaluated, blended
-    blended[active_lanes[contributes]] = True
-    runs = blended[active_lanes]
-    indices = active[runs]
-    alpha = alpha[runs]
-    transmittance = state.transmittance[indices]
+    state.color[:] = color
+    state.transmittance[:] = transmittance
 
-    # Subtask 3: colour weight computation.
-    weight = multiplier.mul(transmittance, alpha)
-    weighted_color = multiplier.mul(weight[:, np.newaxis], color[np.newaxis, :])
-
-    # Subtask 4: colour accumulation and transmittance update.
-    new_color = adder.add(state.color[indices], weighted_color)
-    one_minus_alpha = adder.sub(1.0, alpha)
-    new_transmittance = multiplier.mul(transmittance, one_minus_alpha)
-
-    update = contributes[runs]
-    state.color[indices[update]] = new_color[update]
-    state.transmittance[indices[update]] = new_transmittance[update]
+    # Per-lane activity: a PE blends a primitive when one of its active
+    # pixels passes the alpha threshold, and then runs subtasks 3-4 on all
+    # of its active pixels.
+    num_bins = len(primitives) * num_lanes
+    bins = np.arange(len(primitives))[:, np.newaxis] * num_lanes + lanes
+    lane_active = np.bincount(bins[active], minlength=num_bins)
+    blends = np.bincount(bins[active & passes], minlength=num_bins) > 0
+    evaluated = lane_active.reshape(-1, num_lanes).sum(axis=0)
+    blended = (lane_active * blends).reshape(-1, num_lanes).sum(axis=0)
+    num_evaluated = int(evaluated.sum())
+    num_blended = int(blended.sum())
+    for kind in subtask_totals(GAUSSIAN_SUBTASK_OPS):
+        count = (_EVALUATE_OPS.get(kind, 0) * num_evaluated
+                 + _BLEND_OPS.get(kind, 0) * num_blended)
+        if count:
+            units.tally.record(kind, count)
     return evaluated, blended
 
 
 def composite_background(
     units: DatapathUnits, state: GaussianPixelState, background=(0.0, 0.0, 0.0)
 ) -> np.ndarray:
-    """Composite the background under the remaining transmittance."""
-    background = quantize(np.asarray(background, dtype=np.float64), units.precision)
+    """Composite the background under the remaining transmittance.
+
+    Returns the float64 colours of the pixels.
+    """
+    dtype = units.precision.dtype
+    background = narrow(background, units.precision)
     contribution = units.multiplier.mul(
-        state.transmittance[:, np.newaxis], background[np.newaxis, :]
+        state.transmittance.astype(dtype, copy=False)[:, np.newaxis],
+        background[np.newaxis, :],
     )
-    return units.adder.add(state.color, contribution)
+    color = units.adder.add(state.color.astype(dtype, copy=False), contribution)
+    return color.astype(np.float64)
 
 
 def triangle_datapath(
@@ -254,7 +314,9 @@ def triangle_datapath(
 
     ``pixels``, ``primitive`` (``[x0, y0, z0, x1, y1, z1, x2, y2, z2]``),
     ``colors`` (``(3, 3)`` per vertex) and ``uvs`` (``(3, 2)`` per vertex)
-    are already quantized; ``state`` is updated in place.  Each of the
+    are already in the datapath dtype; ``state`` (float64) is updated in
+    place.  Overflow to infinity is expected at FP16, so callers evaluate
+    under ``np.errstate(over="ignore")``.  Each of the
     ``num_lanes`` PEs performs the per-triangle setup itself, so its
     operations are charged once per PE; the per-fragment subtasks are
     elementwise over all pixels.
@@ -300,8 +362,11 @@ def triangle_datapath(
         ),
         multiplier.mul(weights[:, 2], depths[2]),
     )
-    frag_uv = quantize(weights @ uvs, units.precision)
-    frag_color = quantize(weights @ colors, units.precision)
+    # Attribute interpolation is a dot product; a native matmul may round
+    # its partial sums differently, so it runs in float64 and rounds once.
+    weights = weights.astype(np.float64)
+    frag_uv = quantize(weights @ uvs.astype(np.float64), units.precision)
+    frag_color = quantize(weights @ colors.astype(np.float64), units.precision)
     units.tally.record("mul", 6 * num_pixels)  # uv interpolation
     units.tally.record("add", 4 * num_pixels)
     units.tally.record("mul", 9 * num_pixels)  # colour interpolation
@@ -365,7 +430,8 @@ class ProcessingElement:
     ) -> GaussianPixelState:
         """Apply one Gaussian primitive to this PE's pixels.
 
-        The single-lane call of :func:`gaussian_datapath`.
+        The single-lane call of :func:`gaussian_datapath`, with a one-row
+        batch.
 
         Parameters
         ----------
@@ -379,11 +445,11 @@ class ProcessingElement:
         """
         evaluated, _ = gaussian_datapath(
             self.units,
-            quantize(pixel_centers, self.precision),
+            narrow(pixel_centers, self.precision),
             np.zeros(len(pixel_centers), dtype=np.intp),
             1,
             state,
-            quantize(primitive, self.precision),
+            narrow(primitive, self.precision).reshape(1, -1),
         )
         num_active = int(evaluated[0])
         self.fragments_skipped += len(pixel_centers) - num_active
@@ -428,13 +494,14 @@ class ProcessingElement:
         num_pixels = len(pixel_centers)
         self.fragments_evaluated += num_pixels
         self.busy_cycles += num_pixels * self.config.triangle_cycles_per_fragment
-        triangle_datapath(
-            self.units,
-            quantize(pixel_centers, self.precision),
-            state,
-            quantize(primitive, self.precision),
-            quantize(colors, self.precision),
-            quantize(uvs, self.precision),
-            num_lanes=1,
-        )
+        with np.errstate(over="ignore"):
+            triangle_datapath(
+                self.units,
+                narrow(pixel_centers, self.precision),
+                state,
+                narrow(primitive, self.precision),
+                narrow(colors, self.precision),
+                narrow(uvs, self.precision),
+                num_lanes=1,
+            )
         return state

@@ -6,12 +6,23 @@ pixels are interleaved across the PEs (pixel ``p`` belongs to PE
 evenly.  Primitives staged in the active tile buffer are broadcast to all
 PEs in sorted order; each PE applies the primitive to its own pixels.
 
-The model simulates that broadcast as one tile-wide datapath pass per
-primitive: :func:`~repro.hardware.pe.gaussian_datapath` and
-:func:`~repro.hardware.pe.triangle_datapath` evaluate the primitive over
-every pixel of the tile, with each pixel tagged by the PE (lane) owning it,
-and report per-lane activity.  The pass is exact, not an approximation of
-16 separate PEs:
+The model simulates that broadcast as tile-wide datapath passes, with each
+pixel tagged by the PE (lane) owning it, and reports per-lane activity:
+
+* in Gaussian mode, one :func:`~repro.hardware.pe.gaussian_datapath` call
+  per batch.  Subtasks 1-2 (coordinate shift, quadratic form, ``exp``,
+  alpha and its clamp and threshold) do not read pixel state, so they are
+  hoisted out of the primitive loop and computed once for the batch as
+  ``(B, P)`` arrays; the per-primitive loop keeps only the active mask
+  and subtasks 3-4 on the passing pixels.  The per-lane counts are read
+  off the recorded active masks, and the tally is charged per batch from
+  the per-fragment subtask counts;
+* in triangle mode, one :func:`~repro.hardware.pe.triangle_datapath` call
+  per triangle, op by op.
+
+Operands enter once in the datapath dtype (pixels per tile, primitives per
+batch) and the Gaussian pixel state stays in it; the returned colours are
+float64.  The passes are exact, not an approximation of 16 separate PEs:
 
 * every per-pixel operation is elementwise, so a pixel's colour,
   transmittance, depth and UV do not depend on which other pixels share the
@@ -32,7 +43,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.hardware.config import GauRastConfig
-from repro.hardware.fp import quantize
+from repro.hardware.fp import narrow
 from repro.hardware.pe import (
     GaussianPixelState,
     TrianglePixelState,
@@ -125,16 +136,14 @@ class PEBlock:
         precision = self.config.precision
         lanes = self.owner_of_pixels(len(pixel_centers))
         lane_pixels = np.bincount(lanes, minlength=num_pes)
-        pixels = quantize(pixel_centers, precision)
-        state = GaussianPixelState.initial(len(pixel_centers))
+        pixels = narrow(pixel_centers, precision)
+        state = GaussianPixelState.initial(len(pixel_centers), dtype=precision.dtype)
 
         batch_results: List[BlockBatchResult] = []
         for batch in primitive_batches:
-            evaluated = np.zeros(num_pes, dtype=np.int64)
-            for primitive in quantize(batch, precision):
-                evaluated += gaussian_datapath(
-                    self.units, pixels, lanes, num_pes, state, primitive
-                )[0]
+            evaluated, _ = gaussian_datapath(
+                self.units, pixels, lanes, num_pes, state, narrow(batch, precision)
+            )
             skipped = lane_pixels * len(batch) - evaluated
             batch_results.append(
                 self._credit(evaluated, skipped, self.config.gaussian_cycles_per_fragment)
@@ -165,19 +174,21 @@ class PEBlock:
             self.owner_of_pixels(len(pixel_centers)), minlength=num_pes
         )
         owning_pes = int(np.count_nonzero(lane_pixels))
-        pixels = quantize(pixel_centers, precision)
+        pixels = narrow(pixel_centers, precision)
         state = TrianglePixelState.initial(len(pixel_centers), background=background)
 
         batch_results: List[BlockBatchResult] = []
         for batch, batch_colors, batch_uvs in zip(primitive_batches, colors, uvs):
-            for primitive, tri_colors, tri_uvs in zip(
-                quantize(batch, precision),
-                quantize(batch_colors, precision),
-                quantize(batch_uvs, precision),
-            ):
-                triangle_datapath(
-                    self.units, pixels, state, primitive, tri_colors, tri_uvs, owning_pes
-                )
+            with np.errstate(over="ignore"):
+                for primitive, tri_colors, tri_uvs in zip(
+                    narrow(batch, precision),
+                    narrow(batch_colors, precision),
+                    narrow(batch_uvs, precision),
+                ):
+                    triangle_datapath(
+                        self.units, pixels, state, primitive, tri_colors, tri_uvs,
+                        owning_pes,
+                    )
             batch_results.append(
                 self._credit(
                     lane_pixels * len(batch),

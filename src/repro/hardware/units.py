@@ -11,10 +11,12 @@ multiplexers and staging flip-flops (Fig. 7(c)).  This module provides:
   that node.  The absolute constants are documented calibration points; the
   paper's claims that we reproduce (21 % added PE area, ~0.2 % SoC overhead,
   ~24x energy-efficiency gain) are *ratios* of sums of these constants.
-* :class:`FunctionalUnit` and its subclasses — perform the arithmetic at the
-  selected precision while counting operations, so the PE model produces
-  both numerically faithful results and the operation tallies behind
-  Table II and the energy model.
+* :class:`FunctionalUnit` and its subclasses — perform the arithmetic
+  natively in the selected precision's dtype while counting operations, so
+  the PE model produces both numerically faithful results and the
+  operation tallies behind Table II and the energy model.  Add, sub, mul
+  and div are single native operations; only the exponent unit computes in
+  float64 and rounds once (see :mod:`repro.hardware.fp`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.hardware.fp import Precision, quantize
+from repro.hardware.fp import Precision, narrow
 
 
 @dataclass(frozen=True)
@@ -116,17 +118,24 @@ class OperationTally:
 
 
 class FunctionalUnit:
-    """Base class: applies an operation at datapath precision and counts it."""
+    """Base class: applies an operation in the datapath dtype and counts it.
+
+    Operands are expected in ``precision.dtype`` already (Python scalars
+    adopt it); a wider operand is rounded to it first.  Each operation is
+    then one native, correctly rounded operation of that dtype, which is
+    bit for bit the float64 result rounded to the datapath precision.
+    """
 
     kind = "base"
 
     def __init__(self, precision: Precision, tally: OperationTally):
         self.precision = precision
+        self.dtype = precision.dtype
         self.tally = tally
 
-    def _finish(self, result, count: int):
-        self.tally.record(self.kind, count)
-        return quantize(result, self.precision)
+    def _finish(self, result):
+        self.tally.record(self.kind, int(np.size(result)))
+        return result
 
 
 class Adder(FunctionalUnit):
@@ -135,16 +144,12 @@ class Adder(FunctionalUnit):
     kind = "add"
 
     def add(self, a, b):
-        """Return ``a + b`` rounded to the datapath precision."""
-        a = np.asarray(a, dtype=np.float64)
-        result = a + np.asarray(b, dtype=np.float64)
-        return self._finish(result, int(np.size(result)))
+        """Return ``a + b`` in the datapath dtype."""
+        return self._finish(np.add(a, b, dtype=self.dtype))
 
     def sub(self, a, b):
-        """Return ``a - b`` rounded to the datapath precision."""
-        a = np.asarray(a, dtype=np.float64)
-        result = a - np.asarray(b, dtype=np.float64)
-        return self._finish(result, int(np.size(result)))
+        """Return ``a - b`` in the datapath dtype."""
+        return self._finish(np.subtract(a, b, dtype=self.dtype))
 
 
 class Multiplier(FunctionalUnit):
@@ -153,10 +158,8 @@ class Multiplier(FunctionalUnit):
     kind = "mul"
 
     def mul(self, a, b):
-        """Return ``a * b`` rounded to the datapath precision."""
-        a = np.asarray(a, dtype=np.float64)
-        result = a * np.asarray(b, dtype=np.float64)
-        return self._finish(result, int(np.size(result)))
+        """Return ``a * b`` in the datapath dtype."""
+        return self._finish(np.multiply(a, b, dtype=self.dtype))
 
 
 class Divider(FunctionalUnit):
@@ -165,23 +168,43 @@ class Divider(FunctionalUnit):
     kind = "div"
 
     def div(self, a, b):
-        """Return ``a / b`` rounded to the datapath precision."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        safe_b = np.where(np.abs(b) < 1e-300, 1e-300, b)
-        result = a / safe_b
-        return self._finish(result, int(np.size(result)))
+        """Return ``a / b`` in the datapath dtype.
+
+        A zero divisor saturates instead of raising: a finite non-zero
+        ``a`` gives an infinity with the sign of ``a`` alone (the divisor's
+        sign is ignored), and ``±0``, ``±inf`` and NaN dividends pass
+        through unchanged, so ``0 / ±0`` is ``0``.
+        """
+        a = np.asarray(a, dtype=self.dtype)
+        b = np.asarray(b, dtype=self.dtype)
+        zero = b == 0
+        quotient = np.divide(a, np.where(zero, 1, b))
+        saturates = zero & np.isfinite(a) & (a != 0)
+        return self._finish(np.where(saturates, np.copysign(np.inf, a), quotient))
 
 
 class Exponent(FunctionalUnit):
-    """Floating-point exponentiation unit (Gaussian-only logic path)."""
+    """Floating-point exponentiation unit (Gaussian-only logic path).
+
+    The one unit that does not compute natively: ``exp`` is evaluated in
+    float64 and rounded once, because NumPy's float32 ``exp`` is not
+    correctly rounded (``exp(float32(-0.01))`` already differs from the
+    rounded float64 result).
+    """
 
     kind = "exp"
 
     def exp(self, a):
-        """Return ``exp(a)`` rounded to the datapath precision."""
-        result = np.exp(np.asarray(a, dtype=np.float64))
-        return self._finish(result, int(np.size(result)))
+        """Return ``exp(a)`` rounded to the datapath dtype."""
+        return self._finish(self.evaluate(a))
+
+    def evaluate(self, a):
+        """:meth:`exp` without charging the tally.
+
+        For a datapath that evaluates ahead of knowing which fragments are
+        live and charges the exact fragment counts itself.
+        """
+        return narrow(np.exp(np.asarray(a, dtype=np.float64)), self.precision)
 
 
 @dataclass

@@ -5,8 +5,16 @@ instead of one pass per PE.  The differential tests compare it against 16
 independent :class:`ProcessingElement` objects, each applying the same
 batches to its own interleaved pixels (pixel ``p`` belongs to PE
 ``p % 16``): colours, depths, batch records, per-PE counters and operation
-tallies must all be identical.  The golden test pins the multi-instance
-simulator's outputs bit for bit on fixed synthetic frames.
+tallies must all be identical.
+
+That comparison runs the product's datapath on both sides.  The Gaussian
+datapath is therefore also checked against an independent oracle kept
+here: a per-primitive, op-by-op datapath in which every operation is
+computed in float64 and rounded with ``quantize``.  Rounding the float64
+result once equals the native operation, and hoisting subtasks 1-2 out of
+the primitive loop changes no operation, so the two must agree bit for
+bit.  The golden test pins the multi-instance simulator's outputs bit for
+bit on fixed synthetic frames.
 """
 
 import dataclasses
@@ -19,9 +27,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gaussians.pipeline import render
+from repro.gaussians.rasterize import (
+    ALPHA_MAX,
+    ALPHA_SKIP_THRESHOLD,
+    TRANSMITTANCE_EPSILON,
+)
 from repro.gaussians.synthetic import SyntheticConfig, make_synthetic_scene
 from repro.hardware.config import GauRastConfig, SCALED_CONFIG
-from repro.hardware.fp import Precision, quantize
+from repro.hardware.fp import Precision, narrow, quantize
 from repro.hardware.multi import ScaledGauRast
 from repro.hardware.pe import (
     GaussianPixelState,
@@ -157,6 +170,281 @@ def _assert_same_counters(block, pes):
     assert block.tally.counts == _merged_tally(pes)
 
 
+class _Float64Units:
+    """Functional units that compute in float64 and round every result.
+
+    Each ``add``/``sub``/``mul``/``exp`` rounds its float64 result with
+    :func:`quantize` and counts one operation per result element.
+    """
+
+    def __init__(self, precision):
+        self.precision = precision
+        self.tally = OperationTally()
+
+    def _round(self, kind, result):
+        self.tally.record(kind, int(np.size(result)))
+        return quantize(result, self.precision)
+
+    def add(self, a, b):
+        return self._round("add", np.add(a, b, dtype=np.float64))
+
+    def sub(self, a, b):
+        return self._round("add", np.subtract(a, b, dtype=np.float64))
+
+    def mul(self, a, b):
+        return self._round("mul", np.multiply(a, b, dtype=np.float64))
+
+    def exp(self, a):
+        return self._round("exp", np.exp(np.asarray(a, dtype=np.float64)))
+
+
+def _oracle_gaussian_datapath(units, pixels, lanes, num_lanes, color, transmittance,
+                              primitive):
+    """Apply one quantized Gaussian op by op; ``color``/``transmittance`` in place.
+
+    Returns the per-lane evaluated fragments and whether each lane blended.
+    """
+    conic_a, conic_b, conic_c, opacity, mu_x, mu_y = primitive[:6]
+    rgb = primitive[6:9]
+    active = np.flatnonzero(transmittance >= TRANSMITTANCE_EPSILON)
+    active_lanes = lanes[active]
+    evaluated = np.bincount(active_lanes, minlength=num_lanes)
+    blended = np.zeros(num_lanes, dtype=bool)
+    if len(active) == 0:
+        return evaluated, blended
+
+    pixels = pixels[active]
+    dx = units.sub(pixels[:, 0], mu_x)
+    dy = units.sub(pixels[:, 1], mu_y)
+    dx2 = units.mul(dx, dx)
+    dy2 = units.mul(dy, dy)
+    quad = units.add(units.mul(conic_a, dx2), units.mul(conic_c, dy2))
+    half_quad = units.mul(-0.5, quad)
+    b_dxdy = units.mul(units.mul(conic_b, dx), dy)
+    power = units.sub(half_quad, b_dxdy)
+    alpha = units.mul(opacity, units.exp(np.minimum(power, 0.0)))
+    alpha = np.where(power > 0.0, 0.0, np.minimum(alpha, ALPHA_MAX))
+
+    contributes = alpha >= ALPHA_SKIP_THRESHOLD
+    if not np.any(contributes):
+        return evaluated, blended
+    blended[active_lanes[contributes]] = True
+    runs = blended[active_lanes]
+    indices = active[runs]
+    alpha = alpha[runs]
+    current = transmittance[indices]
+
+    weight = units.mul(current, alpha)
+    new_color = units.add(color[indices], units.mul(weight[:, np.newaxis], rgb[np.newaxis, :]))
+    new_transmittance = units.mul(current, units.sub(1.0, alpha))
+
+    update = contributes[runs]
+    color[indices[update]] = new_color[update]
+    transmittance[indices[update]] = new_transmittance[update]
+    return evaluated, blended
+
+
+def _oracle_gaussian_tile(config, pixel_centers, batches, background):
+    """A PE block's Gaussian tile on the float64 oracle datapath.
+
+    Returns the colours, the batch records, the per-PE counters as
+    ``(busy_cycles, fragments_evaluated, fragments_skipped)`` lists and
+    the operation tally.
+    """
+    precision = config.precision
+    num_pes = config.pes_per_instance
+    units = _Float64Units(precision)
+    lanes = np.arange(len(pixel_centers)) % num_pes
+    lane_pixels = np.bincount(lanes, minlength=num_pes)
+    pixels = quantize(pixel_centers, precision)
+    color = np.zeros((len(pixel_centers), 3))
+    transmittance = np.ones(len(pixel_centers))
+    counters = np.zeros((3, num_pes), dtype=np.int64)
+    results = []
+    for batch in batches:
+        evaluated = np.zeros(num_pes, dtype=np.int64)
+        for primitive in quantize(batch, precision):
+            evaluated += _oracle_gaussian_datapath(
+                units, pixels, lanes, num_pes, color, transmittance, primitive
+            )[0]
+        skipped = lane_pixels * len(batch) - evaluated
+        busy = evaluated * config.gaussian_cycles_per_fragment
+        counters += [busy, evaluated, skipped]
+        results.append(BlockBatchResult(
+            compute_cycles=int(busy.max()),
+            fragments_evaluated=int(evaluated.sum()),
+            fragments_skipped=int(skipped.sum()),
+        ))
+    background = quantize(np.asarray(background, dtype=np.float64), precision)
+    colors = units.add(color, units.mul(transmittance[:, np.newaxis], background[np.newaxis, :]))
+    return colors, results, counters.tolist(), units.tally.counts
+
+
+def _assert_block_matches_oracle(config, pixel_centers, batches, background=BACKGROUND):
+    block = PEBlock(config)
+    colors, results = block.process_gaussian_tile(pixel_centers, batches, background)
+    ref_colors, ref_results, ref_counters, ref_tally = _oracle_gaussian_tile(
+        config, pixel_centers, batches, background
+    )
+    assert colors.dtype == np.float64
+    assert np.array_equal(colors, ref_colors)
+    assert results == ref_results
+    assert [block.busy_cycles.tolist(), block.fragments_evaluated.tolist(),
+            block.fragments_skipped.tolist()] == ref_counters
+    assert block.tally.counts == ref_tally
+    return results
+
+
+def _splats(count, mean, opacity=0.99, sigma=4.0, conic_b=0.0, conic_c=None,
+            color=(0.9, 0.5, 0.1)):
+    """``count`` identical isotropic splats centred on ``mean``."""
+    conic_a = 1.0 / sigma**2
+    conic_c = conic_a if conic_c is None else conic_c
+    row = [conic_a, conic_b, conic_c, opacity, *mean, *color]
+    return np.tile(np.asarray(row, dtype=np.float64), (count, 1))
+
+
+class TestGaussianTileMatchesOracle:
+    """The native, batch-hoisted block against the float64 op-by-op oracle."""
+
+    @given(
+        precision=PRECISIONS,
+        width=st.integers(min_value=1, max_value=16),
+        height=st.integers(min_value=1, max_value=16),
+        batch_sizes=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @example(precision=Precision.FP16, width=16, height=16, batch_sizes=[12, 12], seed=7)
+    @settings(max_examples=40, deadline=None)
+    def test_block_matches_float64_oracle(self, precision, width, height, batch_sizes, seed):
+        rng = np.random.default_rng(seed)
+        pixel_centers = _tile_pixels(width, height)
+        batches = _split(_random_gaussians(rng, sum(batch_sizes)), batch_sizes)
+        _assert_block_matches_oracle(_config(precision), pixel_centers, batches)
+
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+    def test_alpha_max_clamp(self, precision):
+        """Opacity 0.99 rounds up past ``ALPHA_MAX``, so the clamp fires.
+
+        The clamped alpha is exact only in float64; it must enter the next
+        splats' ``T * alpha`` and ``1 - alpha`` unrounded.
+        """
+        assert float(narrow(0.99, precision)) > ALPHA_MAX
+        pixel_centers = _tile_pixels(16, 16)
+        batch = _splats(3, mean=pixel_centers[37], sigma=2.0)
+        _assert_block_matches_oracle(_config(precision), pixel_centers, [batch])
+
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+    def test_indefinite_conics(self, precision):
+        """A negative ``conic_c`` gives positive exponents, dropped by the guard."""
+        pixel_centers = _tile_pixels(16, 16)
+        batch = np.concatenate([
+            _splats(2, mean=pixel_centers[100], opacity=0.7, conic_c=-0.05),
+            _splats(2, mean=pixel_centers[20], opacity=0.5, conic_b=0.3),
+        ])
+        _assert_block_matches_oracle(_config(precision), pixel_centers, [batch])
+
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+    def test_fully_terminated_tile(self, precision):
+        """Opaque splats terminate every pixel; later batches evaluate nothing."""
+        pixel_centers = _tile_pixels(16, 16)
+        covering = _splats(6, mean=pixel_centers[136], sigma=400.0)
+        late = _random_gaussians(np.random.default_rng(5), 4)
+        results = _assert_block_matches_oracle(
+            _config(precision), pixel_centers, [covering, late]
+        )
+        assert results[1].fragments_evaluated == 0
+        assert results[1].fragments_skipped == 4 * len(pixel_centers)
+
+
+def _transmittances(precision):
+    """Preset transmittances around the early-termination threshold."""
+    values = [1.0, 0.5, 2e-4, 1e-4, float(narrow(1e-4, precision)), 9e-5, 0.0]
+    return st.sampled_from([float(narrow(v, precision)) for v in values])
+
+
+class TestGaussianDatapathMatchesOracle:
+    """One batched datapath call against the oracle, primitive by primitive."""
+
+    @given(data=st.data(), precision=PRECISIONS,
+           num_pixels=st.integers(min_value=1, max_value=64),
+           num_primitives=st.integers(min_value=1, max_value=10),
+           seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_preset_state_matches_oracle(self, data, precision, num_pixels, num_primitives,
+                                         seed):
+        rng = np.random.default_rng(seed)
+        transmittance = data.draw(st.lists(
+            _transmittances(precision), min_size=num_pixels, max_size=num_pixels
+        ))
+        color = quantize(rng.uniform(0.0, 0.5, size=(num_pixels, 3)), precision)
+        self._check(precision, np.array(transmittance), color,
+                    _random_gaussians(rng, num_primitives))
+
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+    def test_pixel_preset_to_rounded_epsilon(self, precision):
+        """``T = float32(1e-4)`` is below ``1e-4``: the pixel has terminated.
+
+        A threshold compared in the narrow dtype would round ``1e-4`` to
+        the same float32 value and keep the pixel active.  ``float16(1e-4)``
+        is above ``1e-4``, so at FP16 the pixel is still evaluated.
+        """
+        transmittance = np.full(16, 0.5)
+        transmittance[3] = narrow(TRANSMITTANCE_EPSILON, precision)
+        batch = _splats(2, mean=(20.5, 32.5), sigma=8.0, opacity=0.5)
+        evaluated = self._check(precision, transmittance, np.zeros((16, 3)), batch)
+        if precision is Precision.FP32:
+            assert float(transmittance[3]) < TRANSMITTANCE_EPSILON
+            assert evaluated[3] == 0
+        else:
+            assert evaluated[3] > 0
+
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+    def test_clamped_alpha_meets_many_transmittances(self, precision):
+        """A flat opacity-0.99 splat clamps on every pixel.
+
+        Each pixel starts at a different transmittance, so ``T * alpha``
+        and ``1 - alpha`` with the float64 ``ALPHA_MAX`` differ from the
+        same products with ``alpha`` rounded to the datapath dtype.
+        """
+        transmittance = quantize(np.linspace(1e-3, 1.0, 64), precision)
+        flat = _splats(2, mean=(20.5, 32.5), opacity=0.99)
+        flat[:, :3] = 0.0
+        self._check(precision, transmittance, np.zeros((64, 3)), flat)
+
+    @staticmethod
+    def _check(precision, transmittance, color, primitives):
+        num_pixels = len(transmittance)
+        pixels = quantize(_tile_pixels(16, 16)[:num_pixels], precision)
+        lanes = np.arange(num_pixels) % 16
+        primitives = quantize(primitives, precision)
+
+        units = _Float64Units(precision)
+        ref_color, ref_transmittance = color.copy(), transmittance.copy()
+        ref_evaluated = np.zeros(16, dtype=np.int64)
+        ref_blended = np.zeros(16, dtype=np.int64)
+        for primitive in primitives:
+            evaluated, blended = _oracle_gaussian_datapath(
+                units, pixels, lanes, 16, ref_color, ref_transmittance, primitive
+            )
+            ref_evaluated += evaluated
+            ref_blended += evaluated * blended
+
+        state = GaussianPixelState(
+            color=narrow(color, precision), transmittance=narrow(transmittance, precision)
+        )
+        product = DatapathUnits(precision)
+        evaluated, blended = gaussian_datapath(
+            product, narrow(pixels, precision), lanes, 16, state, narrow(primitives, precision)
+        )
+        assert evaluated.tolist() == ref_evaluated.tolist()
+        assert blended.tolist() == ref_blended.tolist()
+        assert np.array_equal(state.color.astype(np.float64), ref_color)
+        assert np.array_equal(state.transmittance.astype(np.float64), ref_transmittance)
+        assert product.tally.counts == units.tally.counts
+        return evaluated
+
+
 class TestGaussianTileMatchesPerPE:
     @given(
         precision=PRECISIONS,
@@ -233,7 +521,7 @@ class TestGaussianDatapath:
 
         units = DatapathUnits(precision)
         evaluated, blended = gaussian_datapath(
-            units, quantize(pixel_centers, precision), lanes, 16, state, primitive
+            units, quantize(pixel_centers, precision), lanes, 16, state, primitive[np.newaxis]
         )
         assert evaluated.tolist() == [pe.fragments_evaluated for pe in pes]
         assert np.array_equal(state.color, ref_color)
@@ -241,9 +529,10 @@ class TestGaussianDatapath:
         assert units.tally.counts == _merged_tally(pes)
         # Subtasks 1-2 cost 4 add, 8 mul, 1 exp per active fragment; a PE
         # that blends pays 4 add and 5 mul more on every active fragment.
+        assert np.all((blended == 0) | (blended == evaluated))
         expected = {
-            "add": 4 * evaluated.sum() + 4 * evaluated[blended].sum(),
-            "mul": 8 * evaluated.sum() + 5 * evaluated[blended].sum(),
+            "add": 4 * evaluated.sum() + 4 * blended.sum(),
+            "mul": 8 * evaluated.sum() + 5 * blended.sum(),
             "exp": evaluated.sum(),
         }
         assert units.tally.counts == {k: v for k, v in expected.items() if v}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.fp import Precision, max_relative_error, quantize
+from repro.hardware.fp import Precision, max_relative_error, narrow, quantize
 from repro.hardware.units import (
     Adder,
     DatapathUnits,
@@ -138,6 +138,32 @@ class TestFunctionalUnits:
         assert not np.isnan(result)
         assert tally.get("div") == 1
 
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+    @pytest.mark.parametrize("a, b, expected", [
+        (1.0, 0.0, np.inf),
+        (1.0, -0.0, np.inf),
+        (-2.5, 0.0, -np.inf),
+        (-2.5, -0.0, -np.inf),
+        (0.0, 0.0, 0.0),
+        (0.0, -0.0, 0.0),
+        (-0.0, 0.0, -0.0),
+        (-0.0, -0.0, -0.0),
+        (np.inf, -0.0, np.inf),
+        (-np.inf, 0.0, -np.inf),
+        (np.nan, 0.0, np.nan),
+    ])
+    def test_zero_divisor_takes_the_sign_of_the_dividend(self, precision, a, b, expected):
+        """``a / ±0`` saturates with the sign of ``a`` alone; ``0 / ±0`` is 0.
+
+        These are the results of the float64 formulation, which divided by
+        ``1e-300`` in place of a zero divisor.
+        """
+        result = Divider(precision, OperationTally()).div(
+            narrow(a, precision), narrow(b, precision)
+        )
+        assert result.dtype == precision.dtype
+        assert _bits(result, precision) == _bits(narrow(expected, precision), precision)
+
     def test_exponent(self):
         tally = OperationTally()
         result = Exponent(Precision.FP32, tally).exp(np.array([0.0, 1.0]))
@@ -147,7 +173,7 @@ class TestFunctionalUnits:
 
     def test_fp16_quantizes_results(self):
         tally = OperationTally()
-        result = Multiplier(Precision.FP16, tally).mul(1.0 / 3.0, 1.0)
+        result = float(Multiplier(Precision.FP16, tally).mul(1.0 / 3.0, 1.0))
         assert result != pytest.approx(1.0 / 3.0, abs=1e-9)
         assert result == pytest.approx(1.0 / 3.0, rel=1e-3)
 
@@ -159,3 +185,119 @@ class TestFunctionalUnits:
         assert units.tally.total() == 3
         units.reset()
         assert units.tally.total() == 0
+
+
+def _bits(values, precision):
+    """Bit patterns of ``values`` in ``precision``'s dtype, as a list."""
+    unsigned = np.uint32 if precision is Precision.FP32 else np.uint16
+    return np.atleast_1d(np.asarray(values, dtype=precision.dtype)).view(unsigned).tolist()
+
+
+def _floats(bits, precision):
+    """The values whose bit patterns are ``bits`` (the inverse of :func:`_bits`)."""
+    unsigned = np.uint32 if precision is Precision.FP32 else np.uint16
+    return np.asarray(bits, dtype=unsigned).view(precision.dtype)
+
+
+def _float64_then_round(op, a, b, precision):
+    """The float64 formulation of a unit op: compute in float64, round once.
+
+    Its divider replaced a zero divisor by ``1e-300`` before dividing.
+    """
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    if op == "div":
+        b = np.where(np.abs(b) < 1e-300, 1e-300, b)
+    result = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}[op](a, b)
+    return quantize(result, precision)
+
+
+def _native(op, a, b, precision):
+    units = DatapathUnits(precision)
+    unit = {"add": units.adder, "sub": units.adder, "mul": units.multiplier,
+            "div": units.divider}[op]
+    return getattr(unit, op)(a, b)
+
+
+def _operand_pairs(width):
+    floats = st.floats(width=width, allow_subnormal=True)
+    return st.lists(st.tuples(floats, floats), min_size=1, max_size=32)
+
+
+#: Operand pairs that overflow the format, underflow into its subnormals,
+#: cancel to signed zeros, divide by signed zeros or carry NaNs.
+_EDGE_PAIRS = {
+    Precision.FP32: [(3.4e38, 3.4e38), (-3.4e38, 2.0), (1e-38, 1e-7), (1e-45, 0.5),
+                     (-0.0, -0.0), (1.5, -1.5), (1.0, -0.0), (0.0, -0.0),
+                     (np.inf, -np.inf), (np.nan, 1.0), (np.nan, -np.nan)],
+    Precision.FP16: [(65504.0, 65504.0), (-65504.0, 2.0), (6e-5, 1e-3), (6e-8, 0.5),
+                     (-0.0, -0.0), (1.5, -1.5), (1.0, -0.0), (0.0, -0.0),
+                     (np.inf, -np.inf), (np.nan, 1.0), (np.nan, -np.nan)],
+}
+
+
+class TestNativeArithmetic:
+    """Native add/sub/mul/div equal the float64 op rounded once, bit for bit.
+
+    Double precision has more than ``2p + 2`` significand bits for both
+    FP32 (p = 24) and FP16 (p = 11), so rounding the exact result to
+    float64 and then to the datapath dtype is the same as rounding it to
+    the datapath dtype directly.  This is why the adder, multiplier and
+    divider need no float64 round trip.  Bit patterns are compared, so
+    signed zeros and NaN payloads count.
+
+    The one freedom is an op on two NaNs: IEEE 754 lets the result carry
+    either operand's payload, and the native and float64 loops pick
+    different ones.  There the result must be one of the two operands,
+    quieted.
+    """
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+    def test_edge_operands(self, op, precision):
+        a, b = (narrow(column, precision) for column in zip(*_EDGE_PAIRS[precision]))
+        self._check(op, a, b, precision)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @given(pairs=_operand_pairs(32))
+    @settings(max_examples=150, deadline=None)
+    def test_fp32(self, op, pairs):
+        self._check(op, *self._arrays(pairs, Precision.FP32), Precision.FP32)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @given(pairs=_operand_pairs(16))
+    @settings(max_examples=150, deadline=None)
+    def test_fp16(self, op, pairs):
+        self._check(op, *self._arrays(pairs, Precision.FP16), Precision.FP16)
+
+    @staticmethod
+    def _arrays(pairs, precision):
+        a, b = zip(*pairs)
+        return np.array(a, dtype=precision.dtype), np.array(b, dtype=precision.dtype)
+
+    @staticmethod
+    def _check(op, a, b, precision):
+        with np.errstate(all="ignore"):
+            native = _native(op, a, b, precision)
+            reference = _float64_then_round(op, a, b, precision)
+        assert native.dtype == precision.dtype
+        native, reference, a, b = (
+            np.array(_bits(values, precision)) for values in (native, reference, a, b)
+        )
+        two_nans = np.isnan(_floats(a, precision)) & np.isnan(_floats(b, precision))
+        assert native[~two_nans].tolist() == reference[~two_nans].tolist()
+        quiet = 1 << (precision.mantissa_bits - 1)
+        for result, first, second in zip(native[two_nans], a[two_nans], b[two_nans]):
+            assert result in (first | quiet, second | quiet)
+
+    def test_native_exp_is_not_correctly_rounded(self):
+        """The exception: ``Exponent`` keeps float64 and rounds once.
+
+        NumPy's float32 ``exp`` is not correctly rounded: at
+        ``float32(-0.01)`` it differs from the rounded float64 result.
+        """
+        x = np.float32(-0.01)
+        rounded = narrow(np.exp(np.float64(x)), Precision.FP32)
+        assert np.exp(x) != rounded
+        unit = Exponent(Precision.FP32, OperationTally())
+        assert _bits(unit.exp(x), Precision.FP32) == _bits(rounded, Precision.FP32)
