@@ -29,8 +29,7 @@ Eight subcommands cover the library's main flows::
 
     python -m repro serve [--requests N] [--store PATH] [--workers N]
                           [--traffic uniform|zipf|hotspot] [--seed N]
-                          [--replicate-hot K] [--rebalance]
-                          [--kill-at POS:WORKER[,..]]
+                          [--replicate-hot K] [--kill-at POS:WORKER[,..]]
                           [--lod] [--codec C] [--naive] [--hardware]
                           [--async] [--queue-depth N]
                           [--overload-policy block|shed-oldest|reject]
@@ -45,8 +44,7 @@ Eight subcommands cover the library's main flows::
         coalescing, bounded admission queue, priority lanes) and reports
         coalesce/shed/reject counters plus queue-depth percentiles.
         --replicate-hot K makes the traffic model's hot scenes resident on
-        K shards with load-aware routing, --rebalance promotes/demotes
-        replicas live from observed traffic, and --kill-at injects seeded
+        K shards with load-aware routing, and --kill-at injects seeded
         worker deaths mid-stream (requeued, never lost) with a fault-
         accounting printout.  --storage serves from a residency tier:
         'shared' hosts one zero-copy catalog for every worker, 'paged'
@@ -228,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="make each hot scene (from the seeded traffic "
                             "popularity model) resident on K shards with "
                             "load-aware routing (needs --workers > 1)")
-    serve.add_argument("--rebalance", action="store_true",
-                       help="promote/demote replicas live from observed "
-                            "traffic (needs --workers > 1)")
     serve.add_argument("--kill-at", default=None, metavar="POS:WORKER[,..]",
                        help="chaos injection: kill WORKER once POS requests "
                             "have been dispatched, e.g. 30:1,45:0 "
@@ -582,11 +577,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.replicate_hot < 1:
         print("--replicate-hot must be at least 1", file=sys.stderr)
         return 2
-    fleet_flags = (
-        args.replicate_hot > 1 or args.rebalance or args.kill_at is not None
-    )
+    fleet_flags = args.replicate_hot > 1 or args.kill_at is not None
     if fleet_flags and args.workers < 2:
-        print("--replicate-hot/--rebalance/--kill-at need --workers > 1",
+        print("--replicate-hot/--kill-at need --workers > 1",
               file=sys.stderr)
         return 2
     if args.kill_at is not None and args.use_async:
@@ -654,7 +647,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         service = ShardedRenderService(
             store, num_workers=args.workers, lod_policy=lod_policy,
             replication=args.replicate_hot, hot_scenes=hot_scenes,
-            rebalance=args.rebalance,
         )
     else:
         service = RenderService(store, lod_policy=lod_policy)
@@ -789,8 +781,7 @@ def _print_serve_report(args: argparse.Namespace, store, report) -> None:
                   f"killed {list(report.killed) or '[]'}, "
                   f"{report.respawned} respawned")
             for event in report.placement:
-                scene = "" if event.scene is None else f" scene {event.scene}"
-                print(f"  @{event.position}: {event.kind}{scene} "
+                print(f"  @{event.position}: {event.kind} "
                       f"on shard {event.shard}")
 
 

@@ -154,12 +154,6 @@ class CompressedSceneStore(SceneStore):
         self._records.append(record)
         return index
 
-    def remove_scene(self, index: Union[int, str]) -> None:
-        """Remove a scene and its compressed payload."""
-        index = self.resolve_index(index)
-        super().remove_scene(index)
-        self._records.pop(index)
-
     def build_substore(self, indices) -> "CompressedSceneStore":
         """Sub-store carrying the selected scenes' payloads *verbatim*.
 
@@ -180,26 +174,6 @@ class CompressedSceneStore(SceneStore):
             )
             substore._adopt(self._records[resolved], shell)
         return substore
-
-    def adopt_scene(self, source: SceneStore, index=0) -> int:
-        """Copy one scene of ``source`` in, preserving its quantized payload.
-
-        From another compressed tier the record (payload, pyramid, bounds)
-        is shared verbatim — re-quantizing a decoded lossy cloud would move
-        the quantization grid and break per-level bit-identity across the
-        fleet.  From a plain store the scene is compressed with this
-        store's codec, exactly like :meth:`add_scene`.
-        """
-        if not isinstance(source, CompressedSceneStore):
-            return super().adopt_scene(source, index)
-        resolved = source.resolve_index(index)
-        shell = GaussianScene(
-            cloud=_empty_cloud(),
-            cameras=source.get_cameras(resolved),
-            name=source._names[resolved],
-            descriptor_name=source._descriptors[resolved],
-        )
-        return self._adopt(source._records[resolved], shell)
 
     @classmethod
     def from_store(

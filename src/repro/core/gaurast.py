@@ -333,7 +333,6 @@ class GauRastSystem:
         gateway: Optional[RenderGateway] = None,
         replication: int = 1,
         hot_scenes=None,
-        rebalance: bool = False,
         failure_plan=None,
         storage: Optional[str] = None,
         memory_budget: Optional[int] = None,
@@ -368,7 +367,7 @@ class GauRastSystem:
         bit-identical, but overload drops (shed/rejected/expired requests)
         produced no frame and are therefore excluded from it.
 
-        ``replication``/``hot_scenes``/``rebalance`` configure hot-scene
+        ``replication``/``hot_scenes`` configure hot-scene
         replication on a fleet created here (``workers`` > 1), and
         ``failure_plan`` injects seeded worker deaths into the sharded
         serve (see :class:`~repro.serving.traffic.FailurePlan`) — requeued
@@ -404,7 +403,7 @@ class GauRastSystem:
                     store, num_workers=workers, background=background,
                     collect_stats=False, lod_policy=lod_policy,
                     replication=replication,
-                    hot_scenes=hot_scenes, rebalance=rebalance,
+                    hot_scenes=hot_scenes,
                 )
             else:
                 service = RenderService(

@@ -14,10 +14,11 @@ three tiers:
   stream across N worker processes with scene affinity, merging per-shard
   results into a fleet-level report — frames stay bit-identical to the
   single-worker service.  A :class:`~repro.serving.placement.PlacementMap`
-  replicates hot scenes across shards with load-aware routing, replicas
-  rebalance live, and a :class:`~repro.serving.traffic.FailurePlan` (or
-  ``fleet.kill_worker``) injects worker deaths whose in-flight requests
-  are requeued to surviving replicas without losing a response;
+  replicates hot scenes across shards with load-aware routing (each
+  shard's scene set is fixed when it is spawned), and a
+  :class:`~repro.serving.traffic.FailurePlan` (or ``fleet.kill_worker``)
+  injects worker deaths whose in-flight requests are requeued to
+  surviving replicas without losing a response;
 * :class:`~repro.serving.gateway.RenderGateway` is the asyncio front end
   over either service: in-flight request coalescing, bounded admission
   queues with configurable overload policies (block / shed-oldest /

@@ -119,30 +119,6 @@ class LRUByteCache:
                 self.current_bytes -= evicted_bytes
                 self.evictions += 1
 
-    def rekey(self, transform) -> None:
-        """Rewrite every key through ``transform``, dropping ``None`` results.
-
-        Used when the identity space of the keys shifts under the cache —
-        e.g. a scene removed from a worker's store renumbers every later
-        scene, so frame/covariance keys must shift with it (entries of the
-        removed scene map to ``None`` and are dropped, counted as
-        evictions).  LRU order, payload bytes and activity counters are
-        preserved; ``transform`` must be injective over the surviving keys.
-        """
-        entries: "OrderedDict[Hashable, tuple]" = OrderedDict()
-        for key, entry in self._entries.items():
-            new_key = transform(key)
-            if new_key is None:
-                self.current_bytes -= entry[1]
-                self.evictions += 1
-                continue
-            if new_key in entries:
-                raise ValueError(
-                    f"rekey transform collided on {new_key!r}"
-                )
-            entries[new_key] = entry
-        self._entries = entries
-
     def stats(self) -> CacheStats:
         """Snapshot the activity counters."""
         return CacheStats(

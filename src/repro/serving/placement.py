@@ -12,13 +12,14 @@ live one per request:
 * every scene keeps its affinity shard as the **primary** owner;
 * scenes flagged *hot* gain ``replication - 1`` additional **replica**
   owners on the next shards round-robin, so their traffic can be split;
-* owners can be promoted/demoted at runtime (live rebalancing), and every
-  mutation is recorded as a :class:`PlacementEvent`, which is what makes a
-  chaos run's placement history replayable and golden-testable.
+* the owners are fixed when the map is built; every kill and respawn the
+  dispatcher reports is recorded as a :class:`PlacementEvent`, which is
+  what makes a chaos run's placement history replayable and
+  golden-testable.
 
 The map is pure bookkeeping: it never touches worker processes.  Death is
 modelled as a *filter* (``dead`` sets passed by the caller), so a kill does
-not mutate the placement — a respawned shard resumes exactly the scene set
+not change the placement — a respawned shard resumes exactly the scene set
 it owned, and the invariant checks stay meaningful mid-outage.
 
 Usage::
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Kinds a :class:`PlacementEvent` may carry.
-EVENT_KINDS = ("replicate", "demote", "kill", "respawn")
+EVENT_KINDS = ("kill", "respawn")
 
 
 class NoLiveOwnerError(RuntimeError):
@@ -51,13 +52,12 @@ class NoLiveOwnerError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlacementEvent:
-    """One recorded placement mutation.
+    """One recorded liveness change of a shard.
 
     Attributes
     ----------
     kind:
-        ``"replicate"`` / ``"demote"`` (scene gained/lost an owner) or
-        ``"kill"`` / ``"respawn"`` (a shard changed liveness).
+        ``"kill"`` or ``"respawn"``.
     position:
         Requests dispatched by the fleet when the event happened, so a
         history reads as a timeline of the request stream.
@@ -118,31 +118,26 @@ class PlacementMap:
         self.hot_scenes = frozenset(hot)
         self.history: List[PlacementEvent] = []
 
-        self._owners: List[List[int]] = []
-        for scene in range(self.num_scenes):
-            primary = scene % self.num_workers
-            owners = [primary]
-            if scene in self.hot_scenes:
-                owners += [
-                    (primary + offset) % self.num_workers
-                    for offset in range(1, self.replication)
-                ]
-            self._owners.append(owners)
+        self._owners: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(
+                (scene + offset) % self.num_workers
+                for offset in range(
+                    self.replication if scene in self.hot_scenes else 1
+                )
+            )
+            for scene in range(self.num_scenes)
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def owners(self, scene: int) -> Tuple[int, ...]:
-        """Shards holding ``scene``, primary first, in promotion order."""
-        return tuple(self._owners[self._check_scene(scene)])
+        """Shards holding ``scene``, primary first."""
+        return self._owners[self._check_scene(scene)]
 
     def primary(self, scene: int) -> int:
         """The scene's affinity shard (``scene % num_workers``)."""
         return self._owners[self._check_scene(scene)][0]
-
-    def replica_count(self, scene: int) -> int:
-        """Number of shards currently owning ``scene``."""
-        return len(self._owners[self._check_scene(scene)])
 
     def scenes_of(self, shard: int) -> Tuple[int, ...]:
         """Scenes resident on ``shard``, in ascending scene order."""
@@ -162,10 +157,8 @@ class PlacementMap:
         )
 
     def snapshot(self) -> Dict[int, Tuple[int, ...]]:
-        """Current ``{scene: owners}`` mapping (a defensive copy)."""
-        return {
-            scene: tuple(owners) for scene, owners in enumerate(self._owners)
-        }
+        """The ``{scene: owners}`` mapping."""
+        return dict(enumerate(self._owners))
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -198,36 +191,8 @@ class PlacementMap:
         return min(candidates, key=lambda shard: (load.get(shard, 0), shard))
 
     # ------------------------------------------------------------------ #
-    # Mutation (live rebalancing, failure tracking)
+    # Failure tracking
     # ------------------------------------------------------------------ #
-    def add_replica(self, scene: int, shard: int, position: int = 0) -> None:
-        """Promote ``shard`` to an owner of ``scene`` (recorded in history)."""
-        scene = self._check_scene(scene)
-        shard = self._check_shard(shard)
-        if shard in self._owners[scene]:
-            raise ValueError(f"shard {shard} already owns scene {scene}")
-        self._owners[scene].append(shard)
-        self.record("replicate", position=position, scene=scene, shard=shard)
-
-    def remove_replica(self, scene: int, shard: int, position: int = 0) -> None:
-        """Demote ``shard`` from owning ``scene`` (recorded in history).
-
-        The primary owner can never be removed: every scene keeps its
-        affinity shard as an anchor at all times, dead or alive —
-        liveness is the dispatcher's concern, coverage is this map's
-        (and respawn always targets the primary).
-        """
-        scene = self._check_scene(scene)
-        shard = self._check_shard(shard)
-        if shard not in self._owners[scene]:
-            raise ValueError(f"shard {shard} does not own scene {scene}")
-        if shard == self._owners[scene][0]:
-            raise ValueError(
-                f"cannot demote the primary owner of scene {scene}"
-            )
-        self._owners[scene].remove(shard)
-        self.record("demote", position=position, scene=scene, shard=shard)
-
     def record(
         self, kind: str, position: int, scene: Optional[int], shard: int
     ) -> None:

@@ -427,46 +427,6 @@ class RenderService:
         """Serve a single request (sharing the service's caches)."""
         return self.serve([request]).responses[0]
 
-    # ------------------------------------------------------------------ #
-    # Live scene membership (replication / rebalancing)
-    # ------------------------------------------------------------------ #
-    def adopt_scene(self, source: SceneStore, index=0) -> int:
-        """Adopt one scene of ``source`` into the served store; return its index.
-
-        Tier-preserving (see :meth:`SceneStore.adopt_scene
-        <repro.serving.store.SceneStore.adopt_scene>`): a compressed store
-        carries the quantized payload verbatim, so a replica shard serves
-        bit-identical frames to the scene's primary owner.  Adding never
-        renumbers existing scenes, so both caches stay valid as-is.
-        """
-        return self.store.adopt_scene(source, index)
-
-    def remove_scene(self, scene_id) -> int:
-        """Remove a scene from the served store; return its old index.
-
-        Removal compacts the store, renumbering every later scene, so both
-        caches are re-keyed in lockstep: entries of the removed scene are
-        dropped, entries of later scenes shift down with their new indices,
-        and entries of earlier scenes are untouched.  Frame and covariance
-        keys both lead with the scene index, which is what makes one shift
-        rule sound for both caches.
-        """
-        index = self.store.resolve_index(scene_id)
-        self.store.remove_scene(index)
-
-        def shift(key: tuple):
-            """Shift a scene-leading cache key across the removal."""
-            scene = key[0]
-            if scene == index:
-                return None
-            if scene > index:
-                return (scene - 1,) + tuple(key[1:])
-            return key
-
-        self.covariance_cache.rekey(shift)
-        self.frame_cache.rekey(shift)
-        return index
-
     def cache_stats(self) -> Tuple[CacheStats, CacheStats]:
         """Current ``(covariance, frame)`` cache counters.
 

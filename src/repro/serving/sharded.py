@@ -15,9 +15,7 @@ and frame caches stay hot for the scenes it serves.  On top of that a
 * **replication** — scenes flagged *hot* (``hot_scenes``/``replication``)
   become resident on several shards, and the dispatcher routes each request
   to the least-loaded live owner, so one viral scene no longer saturates a
-  single worker;
-* **live rebalancing** (``rebalance=True``) — replicas are promoted and
-  demoted from the traffic actually observed, without pausing the stream;
+  single worker.  A shard's scene set is fixed when it is spawned;
 * **failure handling** — :meth:`ShardedRenderService.kill_worker` (or a
   seeded :class:`~repro.serving.traffic.FailurePlan`) terminates a worker
   mid-stream; the dispatcher requeues its in-flight requests to surviving
@@ -28,14 +26,13 @@ and frame caches stay hot for the scenes it serves.  On top of that a
 
 Because any replica renders deterministically from a verbatim copy of the
 scene payload, fleet frames are **bit-identical** to a single-worker serve
-of the same stream regardless of placement, replication, rebalancing or
-kill schedule.
+of the same stream regardless of placement, replication or kill schedule.
 
 Workers are long-lived ``multiprocessing`` processes, each holding its own
 sub-:class:`~repro.serving.store.SceneStore` and ``RenderService``; the
 dispatcher talks to them over pipes with typed messages (:class:`Serve`,
-:class:`AddScene`, :class:`RemoveScene`, :class:`ResetCaches`,
-:class:`Stats`, :class:`Close`), each answered by one handler.
+:class:`ResetCaches`, :class:`Stats`, :class:`Close`), each answered by one
+handler.
 ``use_processes=False`` (or ``num_workers=1``) swaps the pipe for an
 in-process loopback endpoint that runs the same handler, so both modes
 share one RPC path; it is also how per-shard *busy time* is measured
@@ -51,7 +48,7 @@ Usage::
                               hot_scenes=[2]) as fleet:
         report = fleet.serve(trace, failure_plan=FailurePlan.at((50, 1)))
     report.requeued                   # in-flight requests re-routed
-    report.placement                  # kill/respawn/replicate timeline
+    report.placement                  # kill/respawn timeline
     report.latency_percentile(95)     # tail latency across all shards
 """
 
@@ -89,9 +86,9 @@ from repro.serving.store import SceneStore
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.serving.traffic import FailurePlan
 
-#: Requests dispatched per round when a failure plan or rebalancing is
-#: active (smaller rounds bound the in-flight loss per kill and give the
-#: rebalancer traffic checkpoints); plain serves use one whole-stream round.
+#: Requests dispatched per round when a failure plan is active (smaller
+#: rounds bound the in-flight loss per kill); plain serves use one
+#: whole-stream round.
 DEFAULT_DISPATCH_WINDOW = 8
 
 #: Cache counters reported for a dead shard (its real counters died with it).
@@ -269,28 +266,6 @@ class Serve:
 
 
 @dataclass(frozen=True)
-class AddScene:
-    """Adopt a one-scene store (payload verbatim); replies with its index."""
-
-    store: SceneStore
-
-    def run(self, service: RenderService) -> int:
-        """Append the scene to the shard's sub-store (replication)."""
-        return service.adopt_scene(self.store, 0)
-
-
-@dataclass(frozen=True)
-class RemoveScene:
-    """Drop one sub-store scene and re-key the caches (demotion)."""
-
-    index: int
-
-    def run(self, service: RenderService) -> None:
-        """Remove the scene at the shard-local ``index``."""
-        service.remove_scene(self.index)
-
-
-@dataclass(frozen=True)
 class ResetCaches:
     """Drop both of the shard's caches."""
 
@@ -398,19 +373,10 @@ class ShardedRenderService:
         callable from :func:`~repro.serving.traffic.popularity_priority`
         (its ``hot_scenes`` attribute is used).  Ignored when
         ``replication`` is 1.
-    rebalance:
-        ``True`` lets the dispatcher promote/demote replicas mid-stream
-        from observed traffic (see :meth:`serve`); placement changes are
-        recorded in ``placement.history`` and each ``FleetReport``.
-    rebalance_threshold:
-        A scene is promoted once its observed traffic share exceeds this
-        multiple of the uniform share, and a replica is demoted once the
-        share falls below the reciprocal multiple (hysteresis band).
     dispatch_window:
         Requests dispatched per round.  ``None`` (default) serves plain
         streams in one whole-stream round (the fastest path) and switches
-        to :data:`DEFAULT_DISPATCH_WINDOW` when a failure plan or
-        rebalancing is active.
+        to :data:`DEFAULT_DISPATCH_WINDOW` when a failure plan is active.
     background, sh_degree, collect_stats:
         Per-shard :class:`~repro.serving.service.RenderService` settings.
     covariance_cache_bytes, frame_cache_bytes:
@@ -439,8 +405,6 @@ class ShardedRenderService:
         num_workers: int = 2,
         replication: int = 1,
         hot_scenes=None,
-        rebalance: bool = False,
-        rebalance_threshold: float = 2.0,
         dispatch_window: Optional[int] = None,
         background=(0.0, 0.0, 0.0),
         sh_degree: Optional[int] = None,
@@ -454,20 +418,12 @@ class ShardedRenderService:
             raise ValueError("num_workers must be at least 1")
         if replication < 1:
             raise ValueError("replication must be at least 1")
-        if rebalance_threshold <= 1.0:
-            raise ValueError("rebalance_threshold must be greater than 1")
         if dispatch_window is not None and dispatch_window < 1:
             raise ValueError("dispatch_window must be at least 1 (or None)")
         self.store = store
         self.num_workers = int(num_workers)
         self.background = tuple(float(v) for v in background)
         self.replication = min(int(replication), self.num_workers)
-        self.rebalance = bool(rebalance)
-        self.rebalance_threshold = float(rebalance_threshold)
-        # Rebalancing with replication=1 still needs somewhere to promote to.
-        self._target_replication = (
-            max(self.replication, 2) if self.rebalance else self.replication
-        )
         self.dispatch_window = (
             int(dispatch_window) if dispatch_window is not None else None
         )
@@ -678,9 +634,7 @@ class ShardedRenderService:
         in-flight requests are requeued to surviving replicas, and a shard
         whose death leaves any scene with no live owner is respawned (cold
         caches, same scene set).  ``dispatch_window`` overrides the
-        fleet's round size for this serve.  With ``rebalance=True``,
-        round boundaries also promote/demote replicas from the traffic
-        observed so far.
+        fleet's round size for this serve.
         """
         self._check_open()
         start = time.perf_counter()
@@ -702,7 +656,7 @@ class ShardedRenderService:
             dispatch_window if dispatch_window is not None
             else self.dispatch_window
         )
-        chaos = bool(failure_plan and len(failure_plan)) or self.rebalance
+        chaos = bool(failure_plan and len(failure_plan))
         if window is None:
             window = DEFAULT_DISPATCH_WINDOW if chaos else max(len(requests), 1)
         window = max(int(window), 1)
@@ -719,8 +673,6 @@ class ShardedRenderService:
         assigned_load: Dict[int, int] = {
             shard: 0 for shard in range(self.num_workers)
         }
-        scene_traffic = [0] * self.placement.num_scenes
-        counted = [False] * len(requests)
         dispatched = 0
         requeued = 0
         fired = 0
@@ -744,9 +696,6 @@ class ShardedRenderService:
                 )
                 assignment.setdefault(shard, []).append(position)
                 assigned_load[shard] += 1
-                if not counted[position]:
-                    counted[position] = True
-                    scene_traffic[scene] += 1
 
             # Dispatch to every assigned shard first, then collect in the
             # same order; in-process shards render at collect time, so a
@@ -825,24 +774,16 @@ class ShardedRenderService:
                 for position in sorted(requeue_positions, reverse=True):
                     pending.appendleft(position)
 
-            # Restore coverage before the next routing pass, then let the
-            # traffic observed so far adjust the placement.
+            # Restore coverage before the next routing pass.
             self._ensure_coverage()
-            if self.rebalance:
-                self._rebalance_step(
-                    scene_traffic, sum(scene_traffic), assigned_load
-                )
 
-        events = tuple(self.placement.history[history_start:])
         shard_reports: List[ShardReport] = []
         for shard in range(self.num_workers):
-            alive = self._alive[shard]
-            if last_stats[shard] is not None:
-                covariance_stats, frame_stats = last_stats[shard]
-            elif alive:
-                covariance_stats, frame_stats = self._idle_shard_stats(shard)
-            else:
-                covariance_stats = frame_stats = _DEAD_CACHE_STATS
+            if last_stats[shard] is None and self._alive[shard]:
+                last_stats[shard] = self._call_idle(shard, Stats())
+            covariance_stats, frame_stats = last_stats[shard] or (
+                _DEAD_CACHE_STATS, _DEAD_CACHE_STATS
+            )
             shard_reports.append(
                 ShardReport(
                     shard_id=shard,
@@ -853,9 +794,11 @@ class ShardedRenderService:
                     busy_seconds=busy[shard],
                     covariance_cache=covariance_stats,
                     frame_cache=frame_stats,
-                    alive=alive,
+                    alive=self._alive[shard],
                 )
             )
+
+        events = tuple(self.placement.history[history_start:])
 
         return FleetReport(
             responses=[r for r in responses if r is not None],
@@ -872,97 +815,20 @@ class ShardedRenderService:
         )
 
     # ------------------------------------------------------------------ #
-    # Live rebalancing
-    # ------------------------------------------------------------------ #
-    def _rebalance_step(
-        self,
-        scene_traffic: List[int],
-        observed: int,
-        assigned_load: Dict[int, int],
-    ) -> None:
-        """Promote/demote replicas from the traffic observed so far.
-
-        A scene whose observed share exceeds ``rebalance_threshold`` times
-        the uniform share gains a replica on the least-loaded live
-        non-owner (up to the target replication); a replicated scene whose
-        share falls below the reciprocal multiple loses its most recently
-        promoted replica.  The thresholds form a hysteresis band so the
-        placement does not thrash around the boundary.
-        """
-        num_scenes = self.placement.num_scenes
-        if num_scenes < 2 or observed < 2 * self.num_workers:
-            return  # too little signal to act on
-        uniform = observed / num_scenes
-        hottest_first = sorted(
-            range(num_scenes), key=lambda s: (-scene_traffic[s], s)
-        )
-        for scene in hottest_first:
-            count = scene_traffic[scene]
-            replicas = self.placement.replica_count(scene)
-            if (
-                count >= self.rebalance_threshold * uniform
-                and replicas < self._target_replication
-            ):
-                candidates = [
-                    shard
-                    for shard in range(self.num_workers)
-                    if self._alive[shard]
-                    and shard not in self.placement.owners(scene)
-                ]
-                if candidates:
-                    target = min(
-                        candidates,
-                        key=lambda shard: (assigned_load[shard], shard),
-                    )
-                    self._add_replica(scene, target)
-            elif count * self.rebalance_threshold <= uniform and replicas > 1:
-                self._remove_replica(scene, self.placement.owners(scene)[-1])
-
-    def _add_replica(self, scene: int, shard: int) -> bool:
-        """Make ``scene`` resident on ``shard`` without pausing the stream.
-
-        Ships a one-scene sub-store over the pipe (payload preserved
-        verbatim, so the replica renders bit-identically) and records the
-        promotion.  Returns ``False`` if the worker died mid-transfer.
-        """
-        sub_store = self.store.build_substore([scene])
-        try:
-            local = self._call(shard, AddScene(sub_store))
-        except _WorkerDied:
-            self._mark_dead(shard)
-            return False
-        self._local_index[shard][scene] = local
-        self.placement.add_replica(
-            scene, shard, position=self._dispatched_total
-        )
-        return True
-
-    def _remove_replica(self, scene: int, shard: int) -> None:
-        """Drop ``scene`` from ``shard`` (demotion), re-keying its caches.
-
-        The worker compacts its sub-store, which renumbers every later
-        scene — the dispatcher shifts its local-index map the same way the
-        worker re-keys its caches, so the two stay aligned.
-        """
-        local = self._local_index[shard].pop(scene)
-        if self._alive[shard]:
-            try:
-                self._call(shard, RemoveScene(local))
-            except _WorkerDied:
-                self._mark_dead(shard)
-        for other, index in self._local_index[shard].items():
-            if index > local:
-                self._local_index[shard][other] = index - 1
-        self.placement.remove_replica(
-            scene, shard, position=self._dispatched_total
-        )
-
-    # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def _idle_shard_stats(self, shard: int) -> Tuple[CacheStats, CacheStats]:
-        """Current cache counters of a live shard that served no requests."""
-        return self._call(shard, Stats())
+    def _call_idle(self, shard: int, message):
+        """Call a live shard outside a dispatch round; ``None`` if it died.
+
+        A worker that crashed while idle (say, an OOM kill) is only noticed
+        here: it is marked dead instead of raising, and the next
+        :meth:`serve` respawns it through :meth:`_ensure_coverage`.
+        """
+        try:
+            return self._call(shard, message)
+        except _WorkerDied:
+            self._mark_dead(shard)
+            return None
 
     def submit(self, request: RenderRequest) -> RenderResponse:
         """Serve a single request through a live owner of its scene."""
@@ -976,11 +842,12 @@ class ShardedRenderService:
         callers can front either tier interchangeably.
         """
         self._check_open()
-        per_shard = [
-            self._idle_shard_stats(shard)
+        replies = [
+            self._call_idle(shard, Stats())
             for shard in range(self.num_workers)
             if self._alive[shard]
         ]
+        per_shard = [stats for stats in replies if stats is not None]
         return (
             merge_cache_stats([stats[0] for stats in per_shard]),
             merge_cache_stats([stats[1] for stats in per_shard]),
@@ -991,7 +858,7 @@ class ShardedRenderService:
         self._check_open()
         for shard in range(self.num_workers):
             if self._alive[shard]:
-                self._call(shard, ResetCaches())
+                self._call_idle(shard, ResetCaches())
 
     # ------------------------------------------------------------------ #
     # Lifecycle

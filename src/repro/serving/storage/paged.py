@@ -26,10 +26,10 @@ level.  Version 1–3 ``.npz`` archives import through
 :func:`import_archive` (sniffed by the same ``load_store`` entry point
 that dispatches the older formats).
 
-The tier is read-only with respect to the archive: ``remove_scene`` only
-narrows the in-memory view, ``build_substore`` shares the same chunk files
-with its own (small) resident budget, and pickling a sub-store ships field
-specs — never payload — so sharded workers re-open the chunks lazily.
+The tier is read-only with respect to the archive: ``build_substore``
+shares the same chunk files with its own (small) resident budget, and
+pickling a sub-store ships field specs — never payload — so sharded workers
+re-open the chunks lazily.
 
 Usage::
 
@@ -597,32 +597,6 @@ class PagedSceneStore(SceneStore):
             name=self._names[index],
             descriptor_name=self._descriptors[index],
         )
-
-    def adopt_scene(self, source: SceneStore, index: Union[int, str] = 0) -> int:
-        """Adopt a scene *reference* from another paged store.
-
-        The record (field specs and chunk-file pointer) is shared, so a
-        replica shard reads the same stored bytes — frames bit-identical
-        by construction.  Non-paged sources are rejected: hosting new
-        payload would break the read-only archive contract.
-        """
-        if not isinstance(source, PagedSceneStore):
-            raise TypeError(
-                "PagedSceneStore can only adopt references from another "
-                f"paged store; got {type(source).__name__}"
-            )
-        resolved = source.resolve_index(index)
-        return self._adopt_record(
-            source._records[resolved], source._shell(resolved)
-        )
-
-    def remove_scene(self, index: Union[int, str]) -> None:
-        """Drop a scene from the in-memory view (the archive is untouched)."""
-        index = self.resolve_index(index)
-        uid = self._records[index].uid
-        super().remove_scene(index)
-        self._records.pop(index)
-        self._resident.rekey(lambda key: None if key == (uid,) else key)
 
     def build_substore(self, indices: Iterable[Union[int, str]]) -> "PagedSceneStore":
         """A paged store over the same chunk files, narrowed to ``indices``.

@@ -21,16 +21,15 @@ Three cooperating pieces:
 * :class:`SharedStoreView` — what :meth:`SharedSceneStore.build_substore`
   returns: an ordered list of ``(catalog, global index)`` references
   implementing the ``SceneStore`` API.  Pickling a view ships handles and
-  indices only; unpickling re-attaches.  Replicating a scene onto another
-  view appends a reference, never a copy.
+  indices only; unpickling re-attaches.  A scene replicated onto several
+  views is referenced by each, never copied.
 
 **Write-once.**  The constructor sizes one segment exactly from the
 scenes' row totals and SH width, fills it, and marks the arrays
-read-only — on the owner as on every reader.  ``add_scene``,
-``remove_scene`` and ``compact`` raise; a changed catalog is a new
-``SharedSceneStore``.  So a handle never goes stale while its owner is
-open, and no reader can observe a write.  See the "memory residency
-contract" in ``docs/ARCHITECTURE.md``.
+read-only — on the owner as on every reader.  ``add_scene`` raises; a
+changed catalog is a new ``SharedSceneStore``.  So a handle never goes
+stale while its owner is open, and no reader can observe a write.  See the
+"memory residency contract" in ``docs/ARCHITECTURE.md``.
 
 **Lifecycle.**  ``close()`` (or the context manager, or garbage collection
 via ``weakref.finalize``) detaches the mapping; the owner additionally
@@ -227,7 +226,7 @@ class SharedSceneStore(SceneStore):
     readers attach by name via :meth:`attach` — or simply by unpickling
     the store, which reduces to an attach — and see the identical arrays
     zero-copy.  Owner and reader arrays are both read-only, and
-    ``add_scene``/``remove_scene``/``compact`` raise on either.
+    ``add_scene`` raises on either.
     ``build_substore`` returns a :class:`SharedStoreView` (scene
     references, no payload) instead of a copying sub-store.
     """
@@ -366,14 +365,12 @@ class SharedSceneStore(SceneStore):
         """Pickle as an attach-by-name (no payload)."""
         return (_attach_store, (self.handle(),))
 
-    def _reject_mutation(self, *args, **kwargs):
+    def add_scene(self, scene: GaussianScene) -> int:
         """Unsupported: the catalog is immutable after construction."""
         raise RuntimeError(
             "a SharedSceneStore is immutable after construction; host the "
             "changed scene list in a new SharedSceneStore"
         )
-
-    add_scene = remove_scene = compact = _reject_mutation
 
     # ------------------------------------------------------------------ #
     # Zero-copy routing views
@@ -396,11 +393,9 @@ class SharedStoreView(SceneStore):
     What the sharded dispatcher hands each worker instead of a private
     sub-store copy: an ordered list of ``(catalog, global index)``
     references.  The view implements the read side of the ``SceneStore``
-    API by delegation, supports the worker-protocol membership operations
-    (``adopt_scene`` appends a reference — replication never copies
-    payload; ``remove_scene`` drops one), and pickles as segment handles
-    plus indices, so crossing a pipe costs O(metadata).
-
+    API by delegation and pickles as segment handles plus indices, so
+    crossing a pipe costs O(metadata).  Its scene list is fixed when it is
+    built.
     """
 
     def __init__(self, entries: Iterable[tuple]):
@@ -496,37 +491,15 @@ class SharedStoreView(SceneStore):
         return 0
 
     # ------------------------------------------------------------------ #
-    # Membership (the worker-protocol surface)
+    # Membership (fixed when the view is built)
     # ------------------------------------------------------------------ #
     def add_scene(self, scene: GaussianScene) -> int:
         """Unsupported: a view routes to shared catalogs, it owns no arrays."""
         raise RuntimeError(
-            "SharedStoreView cannot host new payload; add scenes on the "
-            "owning SharedSceneStore and reference them via adopt_scene"
+            "SharedStoreView cannot host new payload; host the changed "
+            "scene list in a new SharedSceneStore and take views of it "
+            "with build_substore"
         )
-
-    def adopt_scene(self, source: SceneStore, index: Union[int, str] = 0) -> int:
-        """Adopt a scene *reference* from another shared view or catalog.
-
-        Replication in a shared-storage fleet: the dispatcher ships a
-        one-scene view over the pipe and the worker appends the reference
-        — zero payload copied, frames bit-identical by construction
-        because every replica reads the same segment bytes.
-        """
-        if isinstance(source, SharedStoreView):
-            self._entries.append(source._entry(index))
-            return len(self._entries) - 1
-        if isinstance(source, SharedSceneStore):
-            self._entries.append((source, source.resolve_index(index)))
-            return len(self._entries) - 1
-        raise TypeError(
-            "SharedStoreView can only adopt references to shared catalogs; "
-            f"got {type(source).__name__}"
-        )
-
-    def remove_scene(self, index: Union[int, str]) -> None:
-        """Drop one reference (later scenes renumber, payload untouched)."""
-        self._entries.pop(self.resolve_index(index))
 
     def build_substore(self, indices: Iterable[Union[int, str]]) -> "SharedStoreView":
         """A narrower view over the same catalogs (still zero-copy)."""

@@ -287,100 +287,6 @@ class SceneStore:
         """Append several scenes; returns their indices."""
         return [self.add_scene(scene) for scene in scenes]
 
-    def remove_scene(self, index: Union[int, str]) -> None:
-        """Remove a scene, compacting the flat arrays in place.
-
-        Every array row of later scenes shifts down to close the gap, so
-        the store stays densely packed and a removed scene's slot can be
-        reused by the next ``add_scene`` — this is what lets a compressed
-        tier replace an original scene without leaking its storage.
-
-        Compaction mutates the shared flat buffers, so **all previously
-        handed-out views become invalid** (they may now show other scenes'
-        data); re-fetch views after removing scenes.
-        """
-        index = self.resolve_index(index)
-        start = int(self._start[index])
-        length = int(self._length[index])
-        cam_start = int(self._cam_start[index])
-        cam_length = int(self._cam_length[index])
-        n, c, s = self._num_gaussians, self._num_cameras, self._num_scenes
-
-        for array in (
-            self._positions, self._scales, self._rotations,
-            self._opacities, self._sh,
-        ):
-            array[start : n - length] = array[start + length : n]
-        for array in (self._poses, self._intrinsics):
-            array[cam_start : c - cam_length] = array[cam_start + cam_length : c]
-
-        self._start[index : s - 1] = self._start[index + 1 : s] - length
-        self._length[index : s - 1] = self._length[index + 1 : s]
-        self._sh_k[index : s - 1] = self._sh_k[index + 1 : s]
-        self._cam_start[index : s - 1] = self._cam_start[index + 1 : s] - cam_length
-        self._cam_length[index : s - 1] = self._cam_length[index + 1 : s]
-        self._names.pop(index)
-        self._descriptors.pop(index)
-
-        self._num_gaussians -= length
-        self._num_cameras -= cam_length
-        self._num_scenes -= 1
-        self._maybe_shrink()
-
-    def _maybe_shrink(self) -> None:
-        """Auto-compact once under a quarter of an allocated axis is used.
-
-        The shrink twin of the geometric growth rule: invoked after every
-        removal, it keeps ``capacity_bytes`` tracking ``nbytes`` under heavy
-        removal while staying amortized O(1) (a store oscillating around a
-        size never thrashes — shrink only fires at <= 1/4 occupancy and the
-        next growth doubles from the exact size).
-        """
-        sparse_gaussians = (
-            len(self._positions) > 1
-            and 4 * self._num_gaussians <= len(self._positions)
-        )
-        sparse_cameras = (
-            len(self._poses) > 1 and 4 * self._num_cameras <= len(self._poses)
-        )
-        sparse_scenes = (
-            len(self._start) > 1 and 4 * self._num_scenes <= len(self._start)
-        )
-        if sparse_gaussians or sparse_cameras or sparse_scenes:
-            self.compact()
-
-    def compact(self) -> int:
-        """Trim spare capacity so ``capacity_bytes`` tracks ``nbytes``.
-
-        Reallocates every flat array to exactly the rows in use (and narrows
-        the shared SH width to the widest stored scene); returns the bytes
-        freed.  Runs automatically after removals once occupancy drops to a
-        quarter (see :meth:`remove_scene`), and can be called explicitly
-        after bulk removal.  Like growth reallocation, compaction leaves
-        previously handed-out views on the old buffers — re-fetch views
-        afterwards if store identity matters.
-        """
-        before = self.capacity_bytes
-        n, s, c = self._num_gaussians, self._num_scenes, self._num_cameras
-        width = 1
-        if s:
-            width = max(int(np.max(self._sh_k[:s])), 1)
-
-        sh = np.zeros((max(n, 1), width, 3))
-        sh[:n] = self._sh[:n, :width, :]
-        self._sh = sh
-        self._sh_width = width
-        for attr, rows in (
-            ("_positions", n), ("_scales", n), ("_rotations", n),
-            ("_opacities", n),
-            ("_start", s), ("_length", s), ("_sh_k", s),
-            ("_cam_start", s), ("_cam_length", s),
-            ("_poses", c), ("_intrinsics", c),
-        ):
-            array = getattr(self, attr)
-            setattr(self, attr, np.array(array[: max(rows, 1)]))
-        return before - self.capacity_bytes
-
     def build_substore(self, indices: Iterable[Union[int, str]]) -> "SceneStore":
         """Build a new store holding copies of the given scenes, in order.
 
@@ -389,20 +295,6 @@ class SceneStore:
         parent's storage tier (e.g. quantized payloads and LOD pyramids).
         """
         return SceneStore(self.get_scene(index) for index in indices)
-
-    def adopt_scene(self, source: "SceneStore", index: Union[int, str] = 0) -> int:
-        """Copy scene ``index`` of ``source`` into this store; return its index.
-
-        The tier-preserving twin of :meth:`add_scene` for store-to-store
-        transfer: a plain store copies the decoded scene, while tiers like
-        :class:`~repro.compression.store.CompressedSceneStore` override it
-        to carry the source's payload *verbatim* (never re-encoding a lossy
-        codec).  This is what lets the sharded dispatcher ship a hot scene
-        to a replica shard over a pipe — as a one-scene
-        :meth:`build_substore` — with fleet frames staying bit-identical
-        per detail level.
-        """
-        return self.add_scene(source.get_scene(index))
 
     # ------------------------------------------------------------------ #
     # Reading (zero-copy)
@@ -446,7 +338,7 @@ class SceneStore:
     def get_cloud(self, index: Union[int, str], level: int = 0) -> GaussianCloud:
         """Cloud of scene ``index`` as read-only views into the flat arrays.
 
-        O(1); see the class docstring for growth and removal.  ``level``
+        O(1); see the class docstring for growth.  ``level``
         selects a detail level; a plain store only has level 0.
         """
         index = self.resolve_index(index)

@@ -185,17 +185,8 @@ class TestServeChaosFlags:
         # report, whose counters reconcile by construction.
         assert "dispatched = 24 completed" in out
 
-    def test_rebalance_flag(self, capsys):
-        assert main([
-            "serve", *SMALL, "--requests", "30", "--workers", "2",
-            "--traffic", "hotspot", "--seed", "1", "--rebalance",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "served 30 requests" in out
-
     def test_chaos_flags_need_workers(self, capsys):
-        for flags in (["--replicate-hot", "2"], ["--rebalance"],
-                      ["--kill-at", "5:0"]):
+        for flags in (["--replicate-hot", "2"], ["--kill-at", "5:0"]):
             assert main(["serve", *SMALL, "--requests", "6", *flags]) == 2
             err = capsys.readouterr().err
             assert "need --workers > 1" in err

@@ -81,17 +81,6 @@ class TestCompressedStoreBasics:
         distances = np.linalg.norm(positions - positions.mean(axis=0), axis=1)
         assert radius == pytest.approx(distances.max())
 
-    def test_remove_scene_drops_payload(self, scenes):
-        store = CompressedSceneStore(scenes, codec="fp16")
-        kept = store.get_cloud(2)
-        store.remove_scene(1)
-        assert len(store) == 2
-        assert store.names == ["scene-0", "scene-2"]
-        assert np.array_equal(store.get_cloud(1).positions, kept.positions)
-        assert store.num_gaussians == (
-            scenes[0].num_gaussians + scenes[2].num_gaussians
-        )
-
     def test_substore_preserves_payload_verbatim(self, scenes):
         store = CompressedSceneStore(scenes, codec="int8", levels=3)
         substore = store.build_substore([2, 0])

@@ -18,6 +18,7 @@ tests, the heaviest marked ``slow`` (tier-1 skips them, CI runs them).
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,17 +177,17 @@ class TestSeededKillSchedules:
                 )
 
 
-class TestChaosWithRebalancing:
-    def test_kills_and_rebalance_compose(
+class TestPlacementUnderKills:
+    def test_seeded_kills_keep_placement_invariants(
         self, store, trace, priority, single_report
     ):
-        # Live rebalancing and failure injection drive the same placement
-        # machinery; together they must still lose nothing.
+        # Kills are a liveness filter: they must lose nothing and leave
+        # the placement map structurally intact.
         plan = FailurePlan.seeded(
             num_workers=NUM_WORKERS, num_requests=len(trace),
             num_kills=2, seed=11,
         )
-        with _fleet(store, priority, rebalance=True) as fleet:
+        with _fleet(store, priority) as fleet:
             report = fleet.serve(trace, failure_plan=plan)
         _assert_chaos_contract(report, trace, single_report)
         fleet.placement.check_invariants()
@@ -214,6 +215,39 @@ class TestProcessModeChaos:
         assert report.killed == reference.killed
         assert list(report.placement) == list(reference.placement)
         assert report.placement_map == reference.placement_map
+
+    def test_idle_worker_crash_is_marked_dead_then_respawned(self, store, trace):
+        # A worker process that dies while idle (an OOM kill, say — not
+        # kill_worker) is only noticed when the end-of-serve stats call
+        # finds its pipe closed.  The serve must still return every
+        # response, report the shard dead, and the next serve respawn it.
+        requests = [replace(request, scene_id=0) for request in trace[:8]]
+        reference = RenderService(store).serve(requests)
+        with _fleet(
+            store, None, num_workers=2, replication=1, use_processes=True
+        ) as fleet:
+            assert 0 not in fleet.placement.scenes_of(1)
+            process = fleet._processes[1]
+            process.kill()
+            process.join()
+            report = fleet.serve(requests)
+            _assert_chaos_contract(report, requests, reference)
+            assert report.dead_shards == (1,)
+            assert report.killed == (1,)
+            assert not report.shards[1].alive
+            assert fleet.cache_stats()[1].hits == report.frame_cache.hits
+            follow_up = fleet.serve(requests)
+            assert follow_up.respawned == 1
+            assert follow_up.dead_shards == ()
+            assert fleet.alive_workers == (0, 1)
+            # The between-serve calls skip such a worker the same way.
+            for probe in (fleet.cache_stats, fleet.reset_caches):
+                process = fleet._processes[1]
+                process.kill()
+                process.join()
+                probe()
+                assert fleet.alive_workers == (0,)
+                assert fleet.serve(requests[:1]).respawned == 1
 
     @pytest.mark.slow
     def test_process_fleet_survives_every_single_worker_kill(

@@ -267,10 +267,6 @@ class TestReplicatedPlacement:
     def test_constructor_validation(self, store):
         with pytest.raises(ValueError, match="replication"):
             ShardedRenderService(store, num_workers=2, replication=0)
-        with pytest.raises(ValueError, match="rebalance_threshold"):
-            ShardedRenderService(
-                store, num_workers=2, rebalance_threshold=1.0
-            )
         with pytest.raises(ValueError, match="dispatch_window"):
             ShardedRenderService(store, num_workers=2, dispatch_window=0)
 

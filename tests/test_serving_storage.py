@@ -117,10 +117,6 @@ class TestSharedSceneStore:
                 )
             with pytest.raises(RuntimeError):
                 reader.add_scene(_scene(77))
-            with pytest.raises(RuntimeError):
-                reader.remove_scene(0)
-            with pytest.raises(RuntimeError):
-                reader.compact()
         finally:
             reader.close()
 
@@ -147,10 +143,6 @@ class TestSharedSceneStore:
     def test_owner_rejects_mutation(self, shared):
         with pytest.raises(RuntimeError):
             shared.add_scene(_scene(77))
-        with pytest.raises(RuntimeError):
-            shared.remove_scene(0)
-        with pytest.raises(RuntimeError):
-            shared.compact()
         assert len(shared) == 5
 
     def test_segment_is_sized_exactly(self, plain, shared):
@@ -196,25 +188,12 @@ class TestSharedStoreView:
         # The clone maps the segment itself instead of copying payload.
         assert clone.owned_bytes == 0
 
-    def test_replication_appends_references(self, plain, shared):
-        a = shared.build_substore([0])
-        b = shared.build_substore([1])
-        local = b.adopt_scene(a, 0)
-        assert b.names[local] == "scene-0"
-        assert np.shares_memory(
-            b.get_cloud(local).positions, shared._positions
-        )
-        b.remove_scene(local)
-        assert b.names == ["scene-1"]
-
     def test_view_rejects_payload_mutation(self, shared):
         view = shared.build_substore([0])
         with pytest.raises(RuntimeError):
             view.add_scene(_scene(88))
         with pytest.raises(RuntimeError):
             view.save("nowhere.npz")
-        with pytest.raises(TypeError):
-            view.adopt_scene(SceneStore([_scene(1)]), 0)
 
     def test_view_narrowing(self, plain, shared):
         view = shared.build_substore([0, 1, 2])
@@ -335,16 +314,6 @@ class TestPagedSceneStore:
         paged = PagedSceneStore(archive)
         with pytest.raises(RuntimeError):
             paged.add_scene(_scene(7))
-        with pytest.raises(TypeError):
-            paged.adopt_scene(SceneStore([_scene(7)]), 0)
-
-    def test_remove_scene_drops_record_and_resident(self, plain, archive):
-        paged = PagedSceneStore(archive)
-        paged.get_cloud(1)
-        paged.remove_scene(1)
-        assert len(paged) == len(plain) - 1
-        assert "scene-1" not in paged.names
-        _assert_clouds_identical(paged.get_cloud(1), plain.get_cloud(2))
 
     def test_substore_shares_archive_separate_cache(self, plain, archive):
         paged = PagedSceneStore(archive, memory_budget=1 << 20)
@@ -358,13 +327,6 @@ class TestPagedSceneStore:
         sub = PagedSceneStore(archive).build_substore([3])
         clone = pickle.loads(pickle.dumps(sub))
         _assert_clouds_identical(clone.get_cloud(0), plain.get_cloud(3))
-
-    def test_replication_between_paged_views(self, plain, archive):
-        paged = PagedSceneStore(archive)
-        a = paged.build_substore([0])
-        b = paged.build_substore([1])
-        local = b.adopt_scene(a, 0)
-        _assert_clouds_identical(b.get_cloud(local), plain.get_cloud(0))
 
     def test_paged_save_roundtrip(self, plain, archive, tmp_path):
         paged = PagedSceneStore(archive)

@@ -184,84 +184,6 @@ class TestSceneStore:
             _assert_clouds_identical(store.get_cloud(index), scene.cloud)
 
 
-class TestRemoveScene:
-    def _store_and_scenes(self):
-        scenes = [
-            _scene(num_gaussians=40 + 15 * seed, sh_degree=seed % 3,
-                   seed=seed, num_cameras=1 + seed)
-            for seed in range(4)
-        ]
-        return SceneStore(scenes), scenes
-
-    @pytest.mark.parametrize("victim", [0, 1, 3, "scene-2"])
-    def test_survivors_are_intact_after_compaction(self, victim):
-        store, scenes = self._store_and_scenes()
-        removed = store.resolve_index(victim)
-        store.remove_scene(victim)
-        survivors = [s for i, s in enumerate(scenes) if i != removed]
-        assert len(store) == 3
-        assert store.names == [s.name for s in survivors]
-        for index, scene in enumerate(survivors):
-            _assert_scenes_identical(store.get_scene(index), scene)
-
-    def test_counters_and_bytes_shrink(self):
-        store, scenes = self._store_and_scenes()
-        before_bytes = store.nbytes
-        victim_bytes = store.scene_nbytes(2)
-        store.remove_scene(2)
-        assert store.num_gaussians == sum(
-            s.num_gaussians for i, s in enumerate(scenes) if i != 2
-        )
-        assert store.num_cameras == sum(
-            len(s.cameras) for i, s in enumerate(scenes) if i != 2
-        )
-        # Payload plus the five per-scene index slots are reclaimed.
-        assert store.nbytes == before_bytes - victim_bytes - 5 * 8
-
-    def test_slot_is_reusable_after_removal(self):
-        # The satellite scenario: a compressed tier replaces an original
-        # scene in place — remove, then add the replacement.
-        store, scenes = self._store_and_scenes()
-        replacement = _scene(num_gaussians=33, seed=9, name="replacement")
-        store.remove_scene(1)
-        index = store.add_scene(replacement)
-        assert index == 3
-        _assert_scenes_identical(store.get_scene(3), replacement)
-        _assert_scenes_identical(store.get_scene(0), scenes[0])
-        # Round-trips through persistence after compaction.
-        store2 = SceneStore(list(store))
-        assert store2.names == store.names
-
-    def test_remove_all_then_refill(self):
-        store, scenes = self._store_and_scenes()
-        for _ in range(len(scenes)):
-            store.remove_scene(0)
-        assert len(store) == 0
-        assert store.num_gaussians == 0
-        assert store.num_cameras == 0
-        store.add_scene(scenes[1])
-        _assert_scenes_identical(store.get_scene(0), scenes[1])
-
-    def test_save_load_after_removal(self, tmp_path):
-        store, scenes = self._store_and_scenes()
-        store.remove_scene(0)
-        path = store.save(tmp_path / "compacted.npz")
-        reloaded = SceneStore.load(path)
-        assert reloaded.names == store.names
-        for index in range(len(store)):
-            _assert_clouds_identical(
-                reloaded.get_cloud(index), store.get_cloud(index)
-            )
-
-    def test_invalid_removals(self):
-        store, _ = self._store_and_scenes()
-        with pytest.raises(IndexError):
-            store.remove_scene(4)
-        with pytest.raises(KeyError):
-            store.remove_scene("missing")
-        assert len(store) == 4  # failed removals change nothing
-
-
 class TestSceneIOWrappers:
     def test_save_scene_with_empty_camera_list(self, tmp_path):
         # Regression: np.stack over an empty camera list used to raise.
@@ -310,55 +232,3 @@ class TestSceneIOWrappers:
         )
         loaded = load_scene(path)
         _assert_scenes_identical(loaded, scene)
-
-
-class TestCompaction:
-    """remove_scene must not strand capacity: compact()/auto-shrink."""
-
-    def test_explicit_compact_returns_freed_bytes(self):
-        store = SceneStore([_scene(seed=s, num_gaussians=120) for s in range(4)])
-        # Force slack: grow past the initial allocation.
-        store.add_scene(_scene(seed=9, num_gaussians=500))
-        store.remove_scene(4)
-        before = store.capacity_bytes
-        freed = store.compact()
-        assert freed == before - store.capacity_bytes
-        assert freed > 0
-        assert store.capacity_bytes == store.nbytes
-
-    def test_compact_preserves_payload(self):
-        scenes = [_scene(seed=s, sh_degree=2) for s in range(3)]
-        store = SceneStore(scenes)
-        reference = [store.get_cloud(i).positions.copy() for i in range(3)]
-        store.compact()
-        for i, expected in enumerate(reference):
-            assert np.array_equal(store.get_cloud(i).positions, expected)
-        _assert_clouds_identical(store.get_cloud(1), scenes[1].cloud)
-
-    def test_heavy_removal_auto_shrinks_capacity(self):
-        store = SceneStore([_scene(seed=s, num_gaussians=200) for s in range(8)])
-        grown = store.capacity_bytes
-        for name in list(store.names)[1:]:
-            store.remove_scene(name)
-        # The shrink twin of geometric growth fired: capacity tracks the
-        # one surviving scene instead of the eight-scene high-water mark.
-        assert store.capacity_bytes < grown
-        assert store.capacity_bytes <= 4 * store.nbytes
-
-    def test_compact_on_empty_store(self):
-        store = SceneStore()
-        freed = store.compact()
-        assert freed >= 0
-        assert len(store) == 0
-        store.add_scene(_scene(seed=1))
-        assert store.num_gaussians == 50
-
-    def test_compact_then_grow_again(self):
-        store = SceneStore([_scene(seed=s) for s in range(4)])
-        for index in (3, 2, 1):
-            store.remove_scene(index)
-        store.compact()
-        extra = _scene(seed=42, num_gaussians=150, name="extra")
-        store.add_scene(extra)
-        assert store.names == ["scene-0", "extra"]
-        _assert_clouds_identical(store.get_cloud(1), extra.cloud)
