@@ -185,6 +185,25 @@ class TestServeChaosFlags:
         # report, whose counters reconcile by construction.
         assert "dispatched = 24 completed" in out
 
+    def test_replicate_hot_without_kills(self, capsys):
+        assert main([
+            "serve", *SMALL, "--requests", "30", "--workers", "2",
+            "--traffic", "hotspot", "--seed", "1", "--replicate-hot", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "served 30 requests" in out
+        assert "killed" not in out
+
+    def test_rebalance_flag_is_not_accepted(self, capsys):
+        # Shard scene sets are fixed at spawn; there is no live rebalancer.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "serve", *SMALL, "--requests", "6", "--workers", "2",
+                "--rebalance",
+            ])
+        assert exit_info.value.code == 2
+        assert "--rebalance" in capsys.readouterr().err
+
     def test_chaos_flags_need_workers(self, capsys):
         for flags in (["--replicate-hot", "2"], ["--kill-at", "5:0"]):
             assert main(["serve", *SMALL, "--requests", "6", *flags]) == 2

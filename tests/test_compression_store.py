@@ -81,6 +81,31 @@ class TestCompressedStoreBasics:
         distances = np.linalg.norm(positions - positions.mean(axis=0), axis=1)
         assert radius == pytest.approx(distances.max())
 
+    def test_counters_follow_added_scenes(self, scenes):
+        store = CompressedSceneStore(scenes[:2], codec="fp16")
+        index = store.add_scene(scenes[2])
+        assert index == 2
+        assert store.names == ["scene-0", "scene-1", "scene-2"]
+        assert store.num_gaussians == sum(s.num_gaussians for s in scenes)
+        assert store.num_cameras == sum(len(s.cameras) for s in scenes)
+        assert store.level_sizes(2)[0] == scenes[2].num_gaussians
+        assert np.array_equal(
+            store.get_cloud(2).positions,
+            CompressedSceneStore([scenes[2]], codec="fp16")
+            .get_cloud(0).positions,
+        )
+
+    def test_overlapping_substores_share_records(self, scenes):
+        # A replicated scene on two shards: both sub-stores carry the same
+        # quantized record rather than two encodings of it.
+        store = CompressedSceneStore(scenes, codec="int8")
+        a = store.build_substore([0, 1])
+        b = store.build_substore([1, 2])
+        assert a.scene_record(1) is b.scene_record(0) is store.scene_record(1)
+        assert np.array_equal(
+            a.get_cloud(1).sh_coeffs, b.get_cloud(0).sh_coeffs
+        )
+
     def test_substore_preserves_payload_verbatim(self, scenes):
         store = CompressedSceneStore(scenes, codec="int8", levels=3)
         substore = store.build_substore([2, 0])

@@ -8,7 +8,8 @@ the chaos harness relies on:
   range, and the primary owner is the affinity shard;
 * routing never targets a dead shard, always returns an owner, and picks
   the least-loaded live owner (ties to the lowest shard id);
-* the event history accepts only kill/respawn records.
+* owners are fixed when the map is built: recorded kills and respawns
+  never change them, and the history accepts only those two kinds.
 
 A small end-to-end test then checks the sorted-response contract on a real
 replicated fleet.
@@ -76,6 +77,37 @@ class TestStructuralInvariants:
             for scene in range(placement.num_scenes):
                 assert (scene in scenes) == (shard in placement.owners(scene))
 
+    @settings(max_examples=30, deadline=None)
+    @given(fleet_shapes)
+    def test_owners_are_tuples_fixed_at_construction(self, shape):
+        placement = _build(*shape)
+        snapshot = placement.snapshot()
+        assert all(type(owners) is tuple for owners in snapshot.values())
+        # The snapshot is a copy of the mapping; editing it changes nothing.
+        for scene in list(snapshot):
+            snapshot[scene] = ()
+        for scene in range(placement.num_scenes):
+            assert placement.owners(scene)
+            assert placement.owners(scene) is placement.owners(scene)
+
+    def test_out_of_range_arguments_are_rejected(self):
+        with pytest.raises(ValueError, match="num_scenes"):
+            PlacementMap(-1, 2)
+        with pytest.raises(ValueError, match="num_workers"):
+            PlacementMap(3, 0)
+        with pytest.raises(ValueError, match="replication"):
+            PlacementMap(3, 2, replication=0)
+        with pytest.raises(ValueError, match="hot scene 3"):
+            PlacementMap(3, 2, replication=2, hot_scenes=[3])
+        placement = PlacementMap(3, 2, replication=5, hot_scenes=[1])
+        assert placement.replication == 2
+        for probe in (placement.owners, placement.primary,
+                      placement.live_owners):
+            with pytest.raises(IndexError):
+                probe(3)
+        with pytest.raises(IndexError):
+            placement.scenes_of(2)
+
 
 class TestRouting:
     @settings(max_examples=60, deadline=None)
@@ -127,6 +159,34 @@ class TestHistory:
             placement.record("explode", position=0, scene=scene, shard=primary)
         assert placement.history == []
 
+    @settings(max_examples=60, deadline=None)
+    @given(fleet_shapes, st.integers(min_value=0, max_value=2**31 - 1))
+    def test_random_kills_and_respawns_keep_owners_and_history(
+        self, shape, seed
+    ):
+        # Death is a liveness filter: however many kill/respawn events are
+        # recorded, the owners never change and the history is exact.
+        placement = _build(*shape)
+        owners_before = placement.snapshot()
+        rng = np.random.default_rng(seed)
+        dead = set()
+        expected = []
+        for position in range(12):
+            shard = int(rng.integers(placement.num_workers))
+            kind = "respawn" if shard in dead else "kill"
+            (dead.discard if kind == "respawn" else dead.add)(shard)
+            placement.record(kind, position=position, scene=None, shard=shard)
+            expected.append((kind, position, None, shard))
+            placement.check_invariants()
+            for scene in range(placement.num_scenes):
+                assert set(placement.live_owners(scene, dead)) == (
+                    set(placement.owners(scene)) - dead
+                )
+        assert placement.snapshot() == owners_before
+        assert [
+            (e.kind, e.position, e.scene, e.shard) for e in placement.history
+        ] == expected
+
 
 class TestEndToEndOrdering:
     @pytest.fixture(scope="class")
@@ -161,3 +221,32 @@ class TestEndToEndOrdering:
         for mine, ref in zip(report.responses, single.responses):
             assert np.array_equal(mine.image, ref.image)
             assert mine.frame_key == ref.frame_key
+
+    def test_shard_scene_sets_are_fixed_at_spawn(self, store):
+        # A shard's scenes come from the placement map when it is spawned
+        # and never change: not by serving hot traffic, not by a kill and
+        # the respawn that follows it.
+        trace = generate_requests(store, 24, pattern="hotspot", seed=3)
+        with ShardedRenderService(
+            store, num_workers=3, replication=2, hot_scenes=[0, 1],
+            use_processes=False,
+        ) as fleet:
+            owners = fleet.placement.snapshot()
+
+            def resident(shard):
+                return fleet._connections[shard].service.store.names
+
+            expected = {
+                shard: [store.names[s] for s in fleet.placement.scenes_of(shard)]
+                for shard in range(3)
+            }
+            assert {shard: resident(shard) for shard in range(3)} == expected
+            fleet.serve(trace)
+            fleet.kill_worker(0)
+            report = fleet.serve(trace)
+            assert report.respawned == 1
+            assert fleet.placement.snapshot() == owners
+            assert {shard: resident(shard) for shard in range(3)} == expected
+            assert [e.kind for e in fleet.placement.history] == [
+                "kill", "respawn"
+            ]

@@ -195,6 +195,17 @@ class TestSharedStoreView:
         with pytest.raises(RuntimeError):
             view.save("nowhere.npz")
 
+    def test_overlapping_views_map_the_same_segment_bytes(self, plain, shared):
+        # Static replication hands a hot scene to several shards; each
+        # shard's view references the one copy in the segment.
+        a = shared.build_substore([0, 1])
+        b = shared.build_substore([1, 2])
+        assert np.shares_memory(
+            a.get_cloud(1).positions, b.get_cloud(0).positions
+        )
+        _assert_clouds_identical(b.get_cloud(0), plain.get_cloud(1))
+        assert a.owned_bytes == b.owned_bytes == 0
+
     def test_view_narrowing(self, plain, shared):
         view = shared.build_substore([0, 1, 2])
         narrowed = view.build_substore([2, 0])
@@ -322,6 +333,17 @@ class TestPagedSceneStore:
         _assert_clouds_identical(sub.get_cloud(0), plain.get_cloud(4))
         assert sub.resident_bytes > 0
         assert paged.resident_bytes == 0
+
+    def test_overlapping_substores_read_identically(self, plain, archive):
+        # A replicated scene paged in by two shards: both read the same
+        # archive records, each into its own resident cache.
+        paged = PagedSceneStore(archive)
+        a = paged.build_substore([0, 1])
+        b = paged.build_substore([1, 2])
+        _assert_clouds_identical(a.get_cloud(1), plain.get_cloud(1))
+        assert b.resident_bytes == 0
+        _assert_clouds_identical(b.get_cloud(0), plain.get_cloud(1))
+        assert a.resident_bytes > 0 and b.resident_bytes > 0
 
     def test_substore_pickles_for_process_workers(self, plain, archive):
         sub = PagedSceneStore(archive).build_substore([3])

@@ -184,6 +184,98 @@ class TestSceneStore:
             _assert_clouds_identical(store.get_cloud(index), scene.cloud)
 
 
+class TestIncrementalGrowth:
+    """Membership only grows: ``add_scene``/``extend`` after construction."""
+
+    def _grown_store_and_scenes(self):
+        # Later scenes are larger and carry more SH bands, so adding them
+        # one at a time reallocates the flat arrays and widens the SH block
+        # under the scenes already stored.
+        scenes = [
+            _scene(num_gaussians=40 + 15 * seed, sh_degree=seed % 4,
+                   seed=seed, num_cameras=1 + seed)
+            for seed in range(4)
+        ]
+        store = SceneStore()
+        for scene in scenes:
+            store.add_scene(scene)
+        return store, scenes
+
+    @pytest.mark.parametrize("key", [0, 1, 3, "scene-2"])
+    def test_every_scene_is_intact_after_growth(self, key):
+        store, scenes = self._grown_store_and_scenes()
+        index = store.resolve_index(key)
+        _assert_scenes_identical(store.get_scene(key), scenes[index])
+        assert store.names == [scene.name for scene in scenes]
+
+    def test_counters_and_bytes_grow_by_the_added_scene(self):
+        store, scenes = self._grown_store_and_scenes()
+        before_bytes = store.nbytes
+        extra = _scene(num_gaussians=33, sh_degree=2, seed=9, num_cameras=3)
+        index = store.add_scene(extra)
+        assert index == len(scenes)
+        assert store.num_gaussians == (
+            sum(s.num_gaussians for s in scenes) + extra.num_gaussians
+        )
+        assert store.num_cameras == (
+            sum(len(s.cameras) for s in scenes) + len(extra.cameras)
+        )
+        # Payload plus the five per-scene index slots are charged.
+        assert store.nbytes == before_bytes + store.scene_nbytes(index) + 5 * 8
+
+    def test_extend_returns_consecutive_indices(self):
+        store, scenes = self._grown_store_and_scenes()
+        extras = [_scene(seed=seed, name=f"extra-{seed}") for seed in (7, 8)]
+        assert store.extend(extras) == [4, 5]
+        assert store.extend([]) == []
+        _assert_scenes_identical(store.get_scene("extra-8"), extras[1])
+        _assert_scenes_identical(store.get_scene(0), scenes[0])
+
+    def test_duplicate_names_resolve_to_the_first(self):
+        first = _scene(seed=1, name="twin")
+        second = _scene(seed=2, name="twin")
+        store = SceneStore([first])
+        assert store.add_scene(second) == 1
+        assert store.scene_index("twin") == 0
+        _assert_clouds_identical(store.get_cloud("twin"), first.cloud)
+        _assert_clouds_identical(store.get_cloud(1), second.cloud)
+
+    def test_save_load_after_growth(self, tmp_path):
+        store, scenes = self._grown_store_and_scenes()
+        assert store.capacity_bytes > store.nbytes  # slack is not persisted
+        reloaded = SceneStore.load(store.save(tmp_path / "grown.npz"))
+        assert reloaded.names == store.names
+        assert reloaded.nbytes == store.nbytes
+        for index, scene in enumerate(scenes):
+            _assert_scenes_identical(reloaded.get_scene(index), scene)
+
+    def test_failed_lookups_change_nothing(self):
+        store, _ = self._grown_store_and_scenes()
+        before = (len(store), store.num_gaussians, store.nbytes)
+        with pytest.raises(IndexError):
+            store.get_scene(4)
+        with pytest.raises(KeyError):
+            store.get_scene("missing")
+        assert (len(store), store.num_gaussians, store.nbytes) == before
+
+    def test_views_from_before_growth_keep_their_values(self):
+        store = SceneStore([_scene(seed=0, sh_degree=0)])
+        view = store.get_cloud(0)
+        expected = view.positions.copy()
+        store.add_scene(_scene(seed=1, num_gaussians=500, sh_degree=3))
+        # The old buffer is dropped by the store but not by the view.
+        assert not np.shares_memory(view.positions, store._positions)
+        assert np.array_equal(view.positions, expected)
+        _assert_clouds_identical(store.get_cloud(0), view)
+
+    def test_capacity_covers_payload_after_every_add(self):
+        store = SceneStore()
+        for seed in range(6):
+            store.add_scene(_scene(seed=seed, num_gaussians=30 + 20 * seed))
+            assert store.capacity_bytes >= store.nbytes
+        assert store.num_gaussians == sum(30 + 20 * seed for seed in range(6))
+
+
 class TestSceneIOWrappers:
     def test_save_scene_with_empty_camera_list(self, tmp_path):
         # Regression: np.stack over an empty camera list used to raise.
