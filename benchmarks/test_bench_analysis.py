@@ -2,9 +2,9 @@
 
 The linter runs on every CI build over the whole tree, so its wall time is
 part of the build budget.  Two scopes are timed: the ``src/repro`` package
-alone (parse, all rules, cross-file ``RenderRequest`` resolution), and
-the full CI scope — src + examples + tests + benchmarks with the
-deliberately-violating lint fixtures excluded.  Both assert the perf bar
+alone (parse and both async rules), and the full CI scope — src +
+examples + tests + benchmarks with the deliberately-violating lint
+fixtures excluded.  Both assert the perf bar
 *and* the CI gate property itself (zero findings on the live tree): a
 benchmark that is fast but finds violations means a regression landed
 without the lint gate catching it locally.

@@ -1,46 +1,40 @@
 """AST-based invariant linter for the repro codebase.
 
-The serving stack rests on contracts that used to be enforced only by
-convention — and PRs 4/5 each paid for a violation after the fact (cache
-keys retrofitted with ``level``; a ~6-second dataclass repr of gathered
-frames).  This package machine-checks those contracts at CI time with a
-small static-analysis framework (stdlib ``ast`` only) and four rules
-targeting the codebase's proven bug classes:
+The asyncio gateway rests on contracts that a test can miss because they
+only bite under concurrency.  This package machine-checks them at CI
+time with a small static-analysis framework (stdlib ``ast`` only) and
+two rules:
 
-* ``determinism`` — all randomness must flow through explicitly seeded
-  ``np.random.Generator`` objects (seeded replay and golden tests depend
-  on it);
-* ``async-blocking`` / ``async-state`` — ``async def`` bodies must not
-  block the event loop, and instance state must not be read before an
-  ``await`` and written back after it without an ``asyncio.Lock``;
-* ``repr-hygiene`` — dataclass ndarray fields must be ``repr=False`` (or
-  the class must define ``__repr__``).
+* ``async-blocking`` — ``async def`` bodies must not block the event
+  loop;
+* ``async-state`` — instance state must not be read before an ``await``
+  and written back after it without an ``asyncio.Lock``.
 
-Contracts that an owning object can enforce need no rule.  Scene stores
-hand out non-writeable arrays, so a write through a view raises at run
-time.  Frame-cache and coalescing keys are built by
+Contracts that an owning object or the test session can enforce need no
+rule.  Scene stores hand out non-writeable arrays, so a write through a
+view raises at run time.  Frame-cache and coalescing keys are built by
 ``RenderRequest.key`` from the request's own dataclass fields, so a new
-request field lands in every key by construction.  Shared-memory
-segments, storage leases and worker processes are released by their
-owners' finalizers and ``close()`` methods, and the test session fails
-any test that leaves a child process, a ``/dev/shm`` segment or an
-unclosed file (``ResourceWarning``) behind.
+request field lands in every key by construction.  The root
+``conftest.py`` fails any test that leaves a child process, a
+``/dev/shm`` segment or an unclosed file (``ResourceWarning``) behind,
+that draws from or seeds the global ``np.random`` or ``random`` state,
+or that seeds a generator from OS entropy (seeded replay, contract 5).
+``tests/test_repr_hygiene.py`` walks every dataclass in ``repro`` and
+fails on an ndarray field left in a generated ``__repr__``.
 
 Entry points: ``repro lint`` (CLI subcommand), ``python -m
-repro.analysis``, or the library API below.  Suppressions:
-``# repro: ignore[rule-id]`` per line, ``# repro: ignore-file[rule-id]``
-per file, and an optional JSON baseline for grandfathered findings (this
-repo keeps its baseline empty).
+repro.analysis``, or the library API below.  The tree is kept at zero
+findings; there is no suppression comment and no baseline.
 
 Usage::
 
     from repro.analysis import lint_source
 
     findings = lint_source(
-        "import numpy as np\\nrng = np.random.default_rng()\\n"
+        "import time\nasync def f():\n    time.sleep(1)\n"
     )
-    findings[0].rule        # "determinism"
-    findings[0].line        # 2
+    findings[0].rule        # "async-blocking"
+    findings[0].line        # 3
 """
 
 from __future__ import annotations
@@ -48,10 +42,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.analysis.core import (
-    Baseline,
     Finding,
     ParsedModule,
-    Project,
     Rule,
     RULES,
     lint_modules,
@@ -59,10 +51,8 @@ from repro.analysis.core import (
     resolve_rules,
 )
 
-# Importing the rule modules populates the RULES registry.
+# Importing the rule module populates the RULES registry.
 from repro.analysis import asyncsafety     # noqa: F401
-from repro.analysis import determinism     # noqa: F401
-from repro.analysis import reprhygiene     # noqa: F401
 
 from repro.analysis.report import (
     JSON_SCHEMA_VERSION,
@@ -73,11 +63,9 @@ from repro.analysis.report import (
 from repro.analysis.runner import lint_paths, main, run
 
 __all__ = [
-    "Baseline",
     "Finding",
     "JSON_SCHEMA_VERSION",
     "ParsedModule",
-    "Project",
     "RULES",
     "Rule",
     "lint_modules",
@@ -100,8 +88,7 @@ def lint_source(
 ) -> List[Finding]:
     """Lint one source string and return its findings.
 
-    The convenience entry point for tests, docs and tooling: the snippet
-    is parsed as a single-file project.
+    The convenience entry point for tests, docs and tooling.
     """
     module = ParsedModule(path, source)
     return lint_modules([module], rules=resolve_rules(rules))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.core import Finding, ParsedModule, Project, Rule, register
+from repro.analysis.core import Finding, ParsedModule, Rule, register
 
 #: ``os`` helpers that block (or spawn and wait on) the calling thread.
 _BLOCKING_OS = {"system", "popen", "wait", "waitpid", "spawnl", "spawnv"}
@@ -175,7 +175,7 @@ class AsyncBlockingRule(Rule):
         "subprocess, open, sync recv, un-awaited acquire)"
     )
 
-    def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         """Yield a finding per blocking call found inside a coroutine."""
         aliases = _module_aliases(module.tree)
         for function in _async_functions(module.tree):
@@ -239,7 +239,7 @@ class AsyncSharedStateRule(Rule):
         "after it without an asyncio.Lock (lost-update race)"
     )
 
-    def check(self, module: ParsedModule, project: Project) -> Iterator[Finding]:
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
         """Yield a finding per stale write-back detected in a coroutine."""
         for function in _async_functions(module.tree):
             yield from self._check_function(module, function)

@@ -1,13 +1,12 @@
 """Reporters for lint results: text, machine-usable JSON, GitHub annotations.
 
-The JSON schema (version 1) is stable for CI consumption::
+The JSON schema (version 2) is stable for CI consumption::
 
     {
-      "version": 1,
+      "version": 2,
       "summary": {
         "files": <int>,        # files scanned
-        "findings": <int>,     # findings excluding baselined ones
-        "baselined": <int>,    # grandfathered findings (reported, not new)
+        "findings": <int>,     # findings reported
         "clean": <bool>        # findings == 0
       },
       "findings": [
@@ -15,9 +14,7 @@ The JSON schema (version 1) is stable for CI consumption::
           "rule": "<rule id>",
           "path": "<file>",
           "line": <int>, "col": <int>,
-          "message": "<description>",
-          "fingerprint": "<16-hex>",
-          "baselined": <bool>
+          "message": "<description>"
         }, ...
       ]
     }
@@ -25,12 +22,11 @@ The JSON schema (version 1) is stable for CI consumption::
 ``--format github`` emits one `workflow command
 <https://docs.github.com/actions/reference/workflow-commands-for-github-actions>`__
 per finding (``::error file=...,line=...,col=...,title=...::message``) so
-CI findings annotate the PR diff inline; baselined findings downgrade to
-``::warning``.
+CI findings annotate the PR diff inline.
 
 Exit-code policy (enforced by :mod:`repro.analysis.runner`): 0 when
 ``summary.clean`` is true, 1 when findings exist, 2 on analyzer-internal
-errors (unknown rule, unreadable path, undecodable file, bad baseline).
+errors (unknown rule, unreadable path, undecodable file).
 """
 
 from __future__ import annotations
@@ -41,43 +37,20 @@ from typing import List, Sequence
 from repro.analysis.core import Finding
 
 #: Version tag of the JSON report schema.
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
-def _summary(findings: Sequence[Finding], num_files: int) -> dict:
-    """The summary block shared by both reporters."""
-    new = [finding for finding in findings if not finding.baselined]
-    return {
-        "files": num_files,
-        "findings": len(new),
-        "baselined": len(findings) - len(new),
-        "clean": not new,
-    }
+def _summary_line(findings: Sequence[Finding], num_files: int) -> str:
+    """The closing ``repro lint: ...`` line shared by text and github."""
+    if not findings:
+        return f"repro lint: clean — {num_files} files, 0 findings"
+    return f"repro lint: {len(findings)} finding(s) in {num_files} files"
 
 
 def render_text(findings: Sequence[Finding], num_files: int) -> str:
     """Render findings as ``path:line:col: rule: message`` lines + summary."""
     lines: List[str] = [finding.format() for finding in findings]
-    summary = _summary(findings, num_files)
-    if summary["clean"]:
-        lines.append(
-            f"repro lint: clean — {summary['files']} files, 0 findings"
-            + (
-                f" ({summary['baselined']} baselined)"
-                if summary["baselined"]
-                else ""
-            )
-        )
-    else:
-        lines.append(
-            f"repro lint: {summary['findings']} finding(s) in "
-            f"{summary['files']} files"
-            + (
-                f" (+{summary['baselined']} baselined)"
-                if summary["baselined"]
-                else ""
-            )
-        )
+    lines.append(_summary_line(findings, num_files))
     return "\n".join(lines)
 
 
@@ -94,42 +67,34 @@ def _escape_property(value: str) -> str:
 
 
 def render_github(findings: Sequence[Finding], num_files: int) -> str:
-    """Render findings as GitHub Actions ``::error``/``::warning`` commands.
+    """Render findings as GitHub Actions ``::error`` workflow commands.
 
-    One command per finding annotates the PR diff at the offending line;
-    baselined (grandfathered) findings become warnings.  The trailing
-    summary line is ordinary log text.
+    One command per finding annotates the PR diff at the offending line.
+    The trailing summary line is ordinary log text.
     """
-    lines: List[str] = []
-    for finding in findings:
-        level = "warning" if finding.baselined else "error"
-        lines.append(
-            f"::{level} "
-            f"file={_escape_property(finding.path)},"
-            f"line={finding.line},"
-            f"col={finding.col},"
-            f"title={_escape_property(finding.rule)}::"
-            f"{_escape_data(finding.message)}"
-        )
-    summary = _summary(findings, num_files)
-    if summary["clean"]:
-        lines.append(
-            f"repro lint: clean — {summary['files']} files, 0 findings"
-        )
-    else:
-        lines.append(
-            f"repro lint: {summary['findings']} finding(s) in "
-            f"{summary['files']} files"
-        )
+    lines: List[str] = [
+        f"::error "
+        f"file={_escape_property(finding.path)},"
+        f"line={finding.line},"
+        f"col={finding.col},"
+        f"title={_escape_property(finding.rule)}::"
+        f"{_escape_data(finding.message)}"
+        for finding in findings
+    ]
+    lines.append(_summary_line(findings, num_files))
     return "\n".join(lines)
 
 
 def render_json(findings: Sequence[Finding], num_files: int) -> str:
-    """Render findings in the documented JSON schema (version 1)."""
+    """Render findings in the documented JSON schema (version 2)."""
     return json.dumps(
         {
             "version": JSON_SCHEMA_VERSION,
-            "summary": _summary(findings, num_files),
+            "summary": {
+                "files": num_files,
+                "findings": len(findings),
+                "clean": not findings,
+            },
             "findings": [
                 {
                     "rule": finding.rule,
@@ -137,8 +102,6 @@ def render_json(findings: Sequence[Finding], num_files: int) -> str:
                     "line": finding.line,
                     "col": finding.col,
                     "message": finding.message,
-                    "fingerprint": finding.fingerprint,
-                    "baselined": finding.baselined,
                 }
                 for finding in findings
             ],

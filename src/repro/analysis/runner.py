@@ -1,20 +1,18 @@
 """File discovery and the ``repro lint`` / ``python -m repro.analysis`` CLI.
 
 The runner turns paths into :class:`~repro.analysis.core.ParsedModule`
-objects, runs the registered rules over them as one project, and renders
-the findings through :mod:`repro.analysis.report`.
+objects, runs the registered rules over them, and renders the findings
+through :mod:`repro.analysis.report`.  Both entry points parse their
+flags with :func:`build_parser` (``repro lint`` adopts it as a parent
+parser) and execute through :func:`run_arguments`, so each flag is
+declared and mapped once.
 
 Exit codes are part of the contract (CI and pre-commit hooks consume
-them): **0** clean, **1** at least one non-baselined finding, **2**
-analyzer-internal error (unknown rule, unreadable path, a file that is
-not valid UTF-8, malformed baseline).  A file that fails to *parse* is
-reported as a ``parse-error`` finding (exit 1) — a broken target is a
-property of the tree, not of the analyzer.
-
-``--update-baseline`` rewrites the baseline file to exactly the current
-findings' fingerprints (sorted, stable), warning on stderr about pruned
-entries — fingerprints that no longer match any finding, including those
-newly silenced by ``# repro: ignore[...]`` comments.
+them): **0** clean, **1** at least one finding, **2** analyzer-internal
+error (unknown rule, unreadable path, a file that is not valid UTF-8).
+A file that fails to *parse* is reported as a ``parse-error`` finding
+(exit 1) — a broken target is a property of the tree, not of the
+analyzer.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.core import (
-    Baseline,
     Finding,
     ParsedModule,
     lint_modules,
@@ -111,33 +108,26 @@ def load_modules(
 def lint_paths(
     paths: Optional[Sequence[str]] = None,
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[str] = None,
     exclude: Iterable[str] = (),
 ) -> Tuple[List[Finding], int]:
     """Lint files/directories and return ``(findings, files scanned)``.
 
     ``rules`` optionally restricts the run to the named rule ids;
-    ``baseline`` optionally points at a JSON baseline file whose
-    fingerprints are reported as grandfathered rather than new;
     ``exclude`` adds directory names skipped during discovery.
     """
     files = iter_python_files(paths if paths else default_paths(), exclude)
     modules, errors = load_modules(files)
-    fingerprints = Baseline.load(baseline).fingerprints if baseline else None
-    findings = lint_modules(
-        modules, rules=resolve_rules(rules), baseline=fingerprints
-    )
+    findings = lint_modules(modules, rules=resolve_rules(rules))
     findings.extend(errors)
     return findings, len(files)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Argument parser shared by ``repro lint`` and ``-m repro.analysis``."""
+    """Argument parser of ``-m repro.analysis``, the parent of ``repro lint``."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "AST-based invariant linter: determinism, async-safety, "
-            "repr-hygiene."
+            "AST-based invariant linter: async-blocking and async-state."
         ),
     )
     parser.add_argument(
@@ -147,24 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json", "github"), default="text",
         help=(
-            "report format (json follows the documented v1 schema; github "
+            "report format (json follows the documented v2 schema; github "
             "emits ::error workflow annotations)"
         ),
     )
     parser.add_argument(
         "--rules", default=None, metavar="ID[,ID...]",
         help="comma-separated subset of rules to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="JSON baseline of grandfathered finding fingerprints",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help=(
-            "rewrite the baseline (default lint-baseline.json) to the "
-            "current findings, pruning stale fingerprints, and exit 0"
-        ),
     )
     parser.add_argument(
         "--exclude", action="append", default=None, metavar="NAME",
@@ -180,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Baseline path rewritten when ``--update-baseline`` is given bare.
-DEFAULT_BASELINE = "lint-baseline.json"
-
 _RENDERERS = {
     "text": render_text,
     "json": render_json,
@@ -190,39 +166,15 @@ _RENDERERS = {
 }
 
 
-def _update_baseline(
-    findings: Sequence[Finding], baseline_path: str, old: set
-) -> set:
-    """Rewrite the baseline to the current findings; return pruned entries.
-
-    Parse errors are deliberately never baselined — a file that stops
-    parsing must keep failing the build.
-    """
-    current = {
-        finding.fingerprint
-        for finding in findings
-        if finding.rule != "parse-error"
-    }
-    pruned = old - current
-    Baseline(fingerprints=current).save(baseline_path)
-    return pruned
-
-
 def run(
     paths: Optional[Sequence[str]] = None,
     output_format: str = "text",
     rules: Optional[str] = None,
-    baseline: Optional[str] = None,
     list_rules: bool = False,
-    update_baseline: bool = False,
     exclude: Optional[Sequence[str]] = None,
     stream=None,
 ) -> int:
-    """Execute a lint run and print the report; returns the exit code.
-
-    This is the single implementation behind both CLI entry points, so
-    ``repro lint`` and ``python -m repro.analysis`` cannot drift.
-    """
+    """Execute a lint run and print the report; returns the exit code."""
     stream = stream if stream is not None else sys.stdout
     if list_rules:
         for rule_id, rule in sorted(RULES.items()):
@@ -234,43 +186,27 @@ def run(
             if rules
             else None
         )
-        baseline_path = baseline
-        if update_baseline and baseline_path is None:
-            baseline_path = DEFAULT_BASELINE
-        load_path = (
-            baseline_path
-            if baseline_path and Path(baseline_path).exists()
-            else None
-        )
         findings, num_files = lint_paths(
-            paths, rules=rule_names, baseline=load_path,
-            exclude=tuple(exclude or ()),
+            paths, rules=rule_names, exclude=tuple(exclude or ()),
         )
-        if update_baseline:
-            old = (
-                Baseline.load(load_path).fingerprints if load_path else set()
-            )
-            pruned = _update_baseline(findings, baseline_path, old)
-            for fingerprint in sorted(pruned):
-                print(
-                    f"repro lint: pruned stale baseline entry {fingerprint}",
-                    file=sys.stderr,
-                )
-            kept = len(
-                {f.fingerprint for f in findings if f.rule != "parse-error"}
-            )
-            print(
-                f"repro lint: baseline {baseline_path} updated — "
-                f"{kept} fingerprint(s), {len(pruned)} pruned",
-                file=stream,
-            )
-            return 0
     except (FileNotFoundError, KeyError, ValueError, OSError) as error:
         print(f"repro lint: error: {error}", file=sys.stderr)
         return 2
     renderer = _RENDERERS.get(output_format, render_text)
     print(renderer(findings, num_files), file=stream)
-    return 1 if any(not finding.baselined for finding in findings) else 0
+    return 1 if findings else 0
+
+
+def run_arguments(arguments: argparse.Namespace, stream=None) -> int:
+    """:func:`run` on flags parsed by :func:`build_parser`."""
+    return run(
+        paths=arguments.paths,
+        output_format=arguments.format,
+        rules=arguments.rules,
+        list_rules=arguments.list_rules,
+        exclude=arguments.exclude,
+        stream=stream,
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -280,12 +216,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exit_error:
         # argparse exits 2 on bad usage, 0 on --help; preserve both.
         return int(exit_error.code or 0)
-    return run(
-        paths=arguments.paths,
-        output_format=arguments.format,
-        rules=arguments.rules,
-        baseline=arguments.baseline,
-        list_rules=arguments.list_rules,
-        update_baseline=arguments.update_baseline,
-        exclude=arguments.exclude,
-    )
+    return run_arguments(arguments)

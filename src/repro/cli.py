@@ -57,18 +57,14 @@ Eight subcommands cover the library's main flows::
         Hardware-vs-software output validation sweep (Section V-A).
 
     python -m repro lint [PATH ...] [--format text|json|github]
-                         [--rules ID,...] [--baseline PATH]
-                         [--update-baseline] [--exclude NAME]
-                         [--list-rules]
+                         [--rules ID,...] [--exclude NAME] [--list-rules]
         Run the AST-based invariant linter (repro.analysis) over the tree:
-        determinism, async-safety, repr-hygiene.
-        Resource lifetimes (segments, leases, processes, files) are owned
-        by objects and checked at run time by the test session, and cache
-        keys are built from the request's own fields (RenderRequest.key);
-        neither is linted.
-        Exits 0 when clean, 1 on findings, 2 on analyzer-internal errors;
-        --update-baseline rewrites the baseline to the current findings
-        (pruning stale fingerprints) and exits 0.
+        async-blocking and async-state.  The flags are those of
+        python -m repro.analysis, whose parser this subcommand adopts.
+        Seeded replay, repr hygiene, resource lifetimes and cache keys
+        are checked at run time by the test session or built by
+        construction, not linted.
+        Exits 0 when clean, 1 on findings, 2 on analyzer-internal errors.
 """
 
 from __future__ import annotations
@@ -80,6 +76,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.analysis.runner import build_parser as build_lint_parser
+from repro.analysis.runner import run_arguments as run_lint_arguments
 from repro.compression import (
     CODECS,
     CompressedSceneStore,
@@ -289,32 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--scenes", type=int, default=2,
                           help="number of random Gaussian scenes")
 
-    lint = subparsers.add_parser(
-        "lint", help="run the AST-based invariant linter (repro.analysis)"
+    lint_parser = build_lint_parser()
+    subparsers.add_parser(
+        "lint", parents=[lint_parser], add_help=False,
+        help="run the AST-based invariant linter (repro.analysis)",
+        description=lint_parser.description,
     )
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files or directories to lint "
-                           "(default: the repro package)")
-    lint.add_argument("--format", choices=("text", "json", "github"),
-                      default="text",
-                      help="report format (json follows the documented "
-                           "v1 schema; github emits ::error workflow "
-                           "annotations)")
-    lint.add_argument("--rules", default=None, metavar="ID[,ID...]",
-                      help="comma-separated subset of rules to run "
-                           "(default: all)")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="JSON baseline of grandfathered finding "
-                           "fingerprints")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline to the current findings, "
-                           "pruning stale fingerprints, and exit 0")
-    lint.add_argument("--exclude", action="append", default=None,
-                      metavar="NAME",
-                      help="directory name to skip during discovery "
-                           "(repeatable), e.g. --exclude fixtures")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="list the registered rules and exit")
     return parser
 
 
@@ -785,22 +763,6 @@ def _print_serve_report(args: argparse.Namespace, store, report) -> None:
                       f"on shard {event.shard}")
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    # Imported lazily: the linter is pure stdlib and must stay usable
-    # even if heavier subsystems fail to import.
-    from repro.analysis.runner import run as run_lint
-
-    return run_lint(
-        paths=args.paths,
-        output_format=args.format,
-        rules=args.rules,
-        baseline=args.baseline,
-        list_rules=args.list_rules,
-        update_baseline=args.update_baseline,
-        exclude=args.exclude,
-    )
-
-
 def _command_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.__main__ import main as run_experiments
 
@@ -835,7 +797,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _command_serve,
         "experiments": _command_experiments,
         "validate": _command_validate,
-        "lint": _command_lint,
+        "lint": run_lint_arguments,
     }
     return handlers[args.command](args)
 

@@ -61,15 +61,12 @@ class PlacementEvent:
     position:
         Requests dispatched by the fleet when the event happened, so a
         history reads as a timeline of the request stream.
-    scene:
-        Scene the event concerns (``None`` for kill/respawn events).
     shard:
         Shard the event concerns.
     """
 
     kind: str
     position: int
-    scene: Optional[int]
     shard: int
 
 
@@ -193,15 +190,12 @@ class PlacementMap:
     # ------------------------------------------------------------------ #
     # Failure tracking
     # ------------------------------------------------------------------ #
-    def record(
-        self, kind: str, position: int, scene: Optional[int], shard: int
-    ) -> None:
-        """Append an event to the history (kills/respawns use scene=None)."""
+    def record(self, kind: str, position: int, shard: int) -> None:
+        """Append a kill or respawn of ``shard`` to the history."""
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}; choose from {EVENT_KINDS}")
         self.history.append(
-            PlacementEvent(kind=kind, position=int(position), scene=scene,
-                           shard=int(shard))
+            PlacementEvent(kind=kind, position=int(position), shard=int(shard))
         )
 
     # ------------------------------------------------------------------ #

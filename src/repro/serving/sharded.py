@@ -538,7 +538,7 @@ class ShardedRenderService:
             return
         self._alive[shard] = False
         self.placement.record(
-            "kill", position=self._dispatched_total, scene=None, shard=shard
+            "kill", position=self._dispatched_total, shard=shard
         )
         connection = self._connections[shard]
         if connection is not None:
@@ -559,7 +559,7 @@ class ShardedRenderService:
         """Bring a dead shard back with its placement scene set (cold caches)."""
         self._spawn_shard(shard)
         self.placement.record(
-            "respawn", position=self._dispatched_total, scene=None, shard=shard
+            "respawn", position=self._dispatched_total, shard=shard
         )
 
     def _ensure_coverage(self) -> None:

@@ -294,9 +294,9 @@ class TestLintCommand:
         assert "repro lint: clean" in out
 
     def test_findings_exit_one(self, capsys):
-        assert main(["lint", f"{self.FIXTURES}/bad_determinism.py"]) == 1
+        assert main(["lint", f"{self.FIXTURES}/bad_async_blocking.py"]) == 1
         out = capsys.readouterr().out
-        assert "determinism:" in out
+        assert "async-blocking:" in out
         assert "finding(s)" in out
 
     def test_missing_path_exits_two(self, capsys):
@@ -311,42 +311,48 @@ class TestLintCommand:
         import json
 
         assert main([
-            "lint", f"{self.FIXTURES}/bad_repr.py", "--format", "json",
+            "lint", f"{self.FIXTURES}/bad_async_state.py", "--format", "json",
         ]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["version"] == 1
+        assert report["version"] == 2
         assert report["summary"]["clean"] is False
         assert all(
-            entry["rule"] == "repr-hygiene" for entry in report["findings"]
+            entry["rule"] == "async-state" for entry in report["findings"]
         )
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
-            "determinism", "async-blocking", "async-state", "repr-hygiene",
-        ):
-            assert f"{rule_id}:" in out
-        assert "cache-key" not in out
+        assert {line.split(":")[0] for line in out.splitlines()} == {
+            "async-blocking", "async-state",
+        }
 
     def test_rule_subset_runs_only_that_rule(self, capsys):
         assert main([
-            "lint", f"{self.FIXTURES}/bad_determinism.py",
-            "--rules", "repr-hygiene",
+            "lint", f"{self.FIXTURES}/bad_async_blocking.py",
+            "--rules", "async-state",
         ]) == 0
 
-    def test_baseline_grandfathers_findings(self, tmp_path, capsys):
-        from repro.analysis import Baseline, lint_paths
+    def test_shares_the_runner_parser(self, capsys):
+        """``repro lint`` and ``-m repro.analysis`` list the same options."""
+        import re
 
-        bad = f"{self.FIXTURES}/bad_determinism.py"
-        findings, _ = lint_paths([bad])
-        baseline = tmp_path / "baseline.json"
-        Baseline(
-            fingerprints={finding.fingerprint for finding in findings}
-        ).save(baseline)
-        assert main(["lint", bad, "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
+        from repro.analysis.runner import main as analysis_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--help"])
+        assert exit_info.value.code == 0
+        cli_help = capsys.readouterr().out
+        assert analysis_main(["--help"]) == 0
+        module_help = capsys.readouterr().out
+
+        def options(text):
+            return set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text))
+
+        assert options(cli_help) == options(module_help)
+        assert {"--format", "--rules", "--exclude", "--list-rules"} <= (
+            options(cli_help)
+        )
 
 
 class TestStorageFlags:

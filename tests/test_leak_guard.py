@@ -5,14 +5,21 @@ Each case runs one inner test under copies of the repository's root
 same ``ResourceWarning`` filters every real test runs under — and then
 cleans up whatever the inner test leaked.  A clean inner test passes;
 each kind of leak makes it fail.
+
+The guard also holds seeded replay (contract 5 in
+``docs/ARCHITECTURE.md``): every unseeded or global-state randomness
+pattern fails, while explicitly seeded generators and the standard
+library's own ``tempfile`` name generator pass.
 """
 
 import glob
 import multiprocessing
 import os
+import random
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -20,15 +27,26 @@ REPO_ROOT = Path(__file__).parent.parent
 INNER_TEST = """
 import multiprocessing
 import os
+import random
+import tempfile
 import time
 from multiprocessing.shared_memory import SharedMemory
+
+import numpy as np
+from numpy.random import default_rng
 
 
 def test_inner():
     {body}
 """
 
-#: case -> (inner test body, text the failure report must contain).
+#: Failure reports of the seeded-replay checks.
+OS_ENTROPY = "seeded itself from OS entropy"
+NUMPY_GLOBAL = "global np.random state"
+STDLIB_GLOBAL = "global random state"
+
+#: case -> (inner test body, text the failure report must contain; None
+#: for a case that must pass).
 CASES = {
     "clean": ("pass", None),
     "unclosed-file": ("open(__file__)", "ResourceWarning"),
@@ -39,6 +57,28 @@ CASES = {
     "child-process": (
         "multiprocessing.Process(target=time.sleep, args=(60,), daemon=True).start()",
         "test left child processes running",
+    ),
+    "unseeded-default-rng": ("np.random.default_rng()", OS_ENTROPY),
+    "unseeded-default-rng-from-import": ("default_rng()", OS_ENTROPY),
+    "legacy-numpy-draw": ("np.random.rand(3)", NUMPY_GLOBAL),
+    "legacy-numpy-uniform": ("np.random.uniform(0.0, 1.0)", NUMPY_GLOBAL),
+    "legacy-numpy-seed": ("np.random.seed(3)", NUMPY_GLOBAL),
+    "stdlib-global-draw": ("random.random()", STDLIB_GLOBAL),
+    "stdlib-global-choice": ("random.choice([1, 2, 3])", STDLIB_GLOBAL),
+    "unseeded-stdlib-instance": ("random.Random()", OS_ENTROPY),
+    "seeded-numpy": (
+        "np.random.default_rng(0).random(); "
+        "np.random.default_rng(seed=1234).random(); default_rng(7).random()",
+        None,
+    ),
+    "seeded-stdlib": (
+        "random.Random(42).random(); random.SystemRandom().random()",
+        None,
+    ),
+    # A fresh name sequence makes tempfile build its own unseeded Random().
+    "tempfile": (
+        "tempfile._name_sequence = None; os.rmdir(tempfile.mkdtemp())",
+        None,
     ),
 }
 
@@ -60,10 +100,15 @@ def test_guard_fails_each_leak(pytester, case):
     pytester.makeconftest((REPO_ROOT / "conftest.py").read_text())
     pytester.makepyprojecttoml((REPO_ROOT / "pyproject.toml").read_text())
     pytester.makepyfile(INNER_TEST.format(body=body))
+    # The inner session runs in this process: put back the global
+    # generator states an inner global-state case changes.
+    rng_states = np.random.get_state(), random.getstate()
     try:
         # Hypothesis's terminal summary alone costs ~1.5 s per inner run.
         result = pytester.runpytest("-p", "no:hypothesispytest")
     finally:
+        np.random.set_state(rng_states[0])
+        random.setstate(rng_states[1])
         _clean_up_leaks()
     if report is None:
         result.assert_outcomes(passed=1)

@@ -156,7 +156,7 @@ class TestHistory:
         scene = 0
         primary = placement.primary(scene)
         with pytest.raises(ValueError):
-            placement.record("explode", position=0, scene=scene, shard=primary)
+            placement.record("explode", position=0, shard=primary)
         assert placement.history == []
 
     @settings(max_examples=60, deadline=None)
@@ -175,8 +175,8 @@ class TestHistory:
             shard = int(rng.integers(placement.num_workers))
             kind = "respawn" if shard in dead else "kill"
             (dead.discard if kind == "respawn" else dead.add)(shard)
-            placement.record(kind, position=position, scene=None, shard=shard)
-            expected.append((kind, position, None, shard))
+            placement.record(kind, position=position, shard=shard)
+            expected.append((kind, position, shard))
             placement.check_invariants()
             for scene in range(placement.num_scenes):
                 assert set(placement.live_owners(scene, dead)) == (
@@ -184,7 +184,7 @@ class TestHistory:
                 )
         assert placement.snapshot() == owners_before
         assert [
-            (e.kind, e.position, e.scene, e.shard) for e in placement.history
+            (e.kind, e.position, e.shard) for e in placement.history
         ] == expected
 
 
