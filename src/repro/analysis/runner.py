@@ -197,7 +197,7 @@ def run(
     return 1 if findings else 0
 
 
-def run_arguments(arguments: argparse.Namespace, stream=None) -> int:
+def run_arguments(arguments: argparse.Namespace) -> int:
     """:func:`run` on flags parsed by :func:`build_parser`."""
     return run(
         paths=arguments.paths,
@@ -205,7 +205,6 @@ def run_arguments(arguments: argparse.Namespace, stream=None) -> int:
         rules=arguments.rules,
         list_rules=arguments.list_rules,
         exclude=arguments.exclude,
-        stream=stream,
     )
 
 
