@@ -177,3 +177,9 @@ class TestLiveTree:
         broken.write_text("def incomplete(:\n")
         findings, _ = lint_paths([str(broken)])
         assert [finding.rule for finding in findings] == ["parse-error"]
+
+    def test_parse_error_fails_the_run(self, tmp_path, capsys):
+        broken = tmp_path / "broken.py"
+        broken.write_text("def incomplete(:\n")
+        assert run(paths=[str(broken)]) == 1
+        assert "parse-error:" in capsys.readouterr().out

@@ -66,9 +66,21 @@ CASES = {
     "stdlib-global-draw": ("random.random()", STDLIB_GLOBAL),
     "stdlib-global-choice": ("random.choice([1, 2, 3])", STDLIB_GLOBAL),
     "unseeded-stdlib-instance": ("random.Random()", OS_ENTROPY),
+    "unseeded-pcg64": ("np.random.PCG64()", OS_ENTROPY),
+    "unseeded-mt19937": ("np.random.MT19937()", OS_ENTROPY),
+    "unseeded-seed-sequence": ("np.random.SeedSequence()", OS_ENTROPY),
+    "unseeded-random-state": ("np.random.RandomState()", OS_ENTROPY),
+    "legacy-numpy-shuffle": ("np.random.shuffle([1, 2, 3])", NUMPY_GLOBAL),
+    "stdlib-global-seed": ("random.seed(3)", STDLIB_GLOBAL),
+    "stdlib-reseed-from-entropy": ("random.Random(42).seed()", OS_ENTROPY),
     "seeded-numpy": (
         "np.random.default_rng(0).random(); "
         "np.random.default_rng(seed=1234).random(); default_rng(7).random()",
+        None,
+    ),
+    "seeded-bit-generators": (
+        "np.random.Generator(np.random.PCG64(3)).random(); "
+        "np.random.MT19937(5).random_raw(); np.random.SeedSequence(9).spawn(2)",
         None,
     ),
     "seeded-stdlib": (

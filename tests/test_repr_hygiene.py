@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
+import pytest
 
 import repro
 
@@ -150,12 +151,21 @@ class Scalar:
     name: str
 
 
-def test_leaking_patterns_are_flagged():
-    assert leaking_fields(Frame) == ["pixels", "depth"]
-    assert leaking_fields(Binned) == ["tiles"]
-    assert leaking_fields(Unresolvable) == ["payload"]
+#: leaking class -> the fields the check must name, in field order.
+LEAKING = {
+    Frame: ["pixels", "depth"],
+    Binned: ["tiles"],
+    Unresolvable: ["payload"],
+}
 
 
-def test_safe_patterns_are_clean():
-    for cls in (OptedOutFrame, Cloud, Raw, Scalar):
-        assert leaking_fields(cls) == [], cls.__name__
+@pytest.mark.parametrize("cls", list(LEAKING), ids=lambda cls: cls.__name__)
+def test_leaking_patterns_are_flagged(cls):
+    assert leaking_fields(cls) == LEAKING[cls]
+
+
+@pytest.mark.parametrize(
+    "cls", [OptedOutFrame, Cloud, Raw, Scalar], ids=lambda cls: cls.__name__
+)
+def test_safe_patterns_are_clean(cls):
+    assert leaking_fields(cls) == []
