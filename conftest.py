@@ -29,6 +29,7 @@ import sysconfig
 import numpy as np
 import pytest
 from numpy.random import bit_generator
+from numpy.random.mtrand import RandomState as _RandomState
 
 _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:
@@ -81,6 +82,26 @@ def _seed_stdlib_checked(self, a=None, version=2):
     return _seed_stdlib(self, a, version)
 
 
+class _GuardedRandomState(_RandomState):
+    """``RandomState`` whose seeded form draws no OS entropy.
+
+    NumPy's ``RandomState(seed)`` builds an unseeded ``MT19937`` and then
+    legacy-seeds it, so the refused entropy source would fail a seeded
+    call.  This builds it from a fixed ``MT19937(0)`` and legacy-seeds it
+    the same way (``RandomState.seed``), which gives the same state;
+    ``RandomState()`` still draws entropy and is refused.
+    """
+
+    def __init__(self, seed=None):
+        if seed is None or hasattr(seed, "capsule") or isinstance(
+            seed, np.random.SeedSequence
+        ):
+            super().__init__(seed)
+        else:
+            super().__init__(np.random.MT19937(0))
+            self.seed(seed)
+
+
 @pytest.fixture(autouse=True)
 def leak_guard():
     """Fail a test that leaks a process or segment, or breaks seeded replay.
@@ -89,14 +110,16 @@ def leak_guard():
     entropy source of an unseeded ``SeedSequence``, hence of
     ``default_rng()``, ``PCG64()`` and ``RandomState()``) raises, and so
     does ``random.Random.seed(None)`` called from outside the standard
-    library and installed packages.  Fixtures of a wider scope than a
-    test run outside the guard.
+    library and installed packages.  ``np.random.RandomState`` is
+    :class:`_GuardedRandomState`, so a seeded ``RandomState(seed)`` passes.
+    Fixtures of a wider scope than a test run outside the guard.
     """
     before = _own_segments()
     rng_before = _global_rng_states()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bit_generator, "randbits", _refuse_os_entropy)
         patch.setattr(random.Random, "seed", _seed_stdlib_checked)
+        patch.setattr(np.random, "RandomState", _GuardedRandomState)
         yield
     children = multiprocessing.active_children()
     assert not children, f"test left child processes running: {children}"

@@ -11,7 +11,9 @@ of the paper:
 3. **Gaussian rasterization** (:mod:`repro.gaussians.rasterize`): for every
    tile, alpha-composit the sorted Gaussians front to back into the pixels.
 
-The implementation is pure NumPy and serves two purposes: it is the *golden
+The implementation is NumPy, plus one small C kernel for Stage 3's tile
+loop (built on first import; see :mod:`repro.gaussians.rasterize`), and
+serves two purposes: it is the *golden
 model* against which the GauRast processing-element datapath is validated,
 and it is the *workload generator* whose per-frame statistics feed the
 performance and energy models.

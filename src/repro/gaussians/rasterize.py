@@ -16,12 +16,11 @@ following the exact clamping and early-termination rules of the reference
 CUDA rasterizer so the output can be compared bit-for-bit (in FP64) against
 the hardware datapath model.
 
-The product path is :func:`rasterize_tiles`, which runs the chunked engine
-:func:`rasterize_tile_vectorized` on every tile: it first culls the tile's
+The product path is :func:`rasterize_tiles`, which runs the C tile kernel
+(``tile_kernel.c``, built on first import) on every tile: C culls the
 Gaussians whose alpha bound over the tile (:func:`alpha_upper_bound`) is
-below ``1/255``, then evaluates blocks of the rest against all tile pixels
-at once and folds them with sequential ``cumprod``/``add.reduce`` passes,
-amortising the NumPy dispatch overhead over whole blocks.
+below ``1/255`` and writes the exponents of the rest, NumPy's ``exp``
+evaluates them, and C runs the oracle's per-pixel blend loop.
 
 Two oracles sit at the end of the module and serve only tests:
 :func:`rasterize_tile`, the original per-Gaussian Python loop, and
@@ -32,7 +31,13 @@ identical :class:`RasterStats` (``tests/test_vectorized_equivalence.py``).
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -53,10 +58,9 @@ ALPHA_MAX = 0.99
 #: (early termination).
 TRANSMITTANCE_EPSILON = 1e-4
 
-#: Number of Gaussians the vectorized engine evaluates per block.  Between
-#: blocks the engine re-checks the whole-tile early-termination condition,
-#: so the block size bounds how much work can be wasted past the point where
-#: every pixel has saturated.
+#: Kept Gaussians per power/``exp`` round of the tile kernel: the tile stops
+#: after a round that leaves no pixel live.  32–128 run equally fast on the
+#: ``unique-views`` frames; 16 and 256 are slower.
 DEFAULT_CHUNK_SIZE = 64
 
 
@@ -136,22 +140,11 @@ def gaussian_alpha(
 ) -> np.ndarray:
     """Evaluate the clamped Gaussian density of one splat at many pixels.
 
-    Parameters
-    ----------
-    pixel_centers:
-        ``(P, 2)`` pixel-centre coordinates.
-    mean:
-        ``(2,)`` screen-space Gaussian centre.
-    conic:
-        ``(3,)`` packed inverse covariance ``(a, b, c)``.
-    opacity:
-        Scalar opacity ``o``.
-
-    Returns
-    -------
-    ``(P,)`` alpha values, clamped to ``ALPHA_MAX`` and zeroed where the
-    exponent would be positive (numerically impossible for a valid conic but
-    guarded exactly like the reference implementation).
+    Takes ``(P, 2)`` pixel centres, a ``(2,)`` screen-space mean, a ``(3,)``
+    packed inverse covariance ``(a, b, c)`` and a scalar opacity.  Returns
+    ``(P,)`` alphas, clamped to ``ALPHA_MAX`` and zeroed where the exponent
+    would be positive (numerically impossible for a valid conic but guarded
+    exactly like the reference implementation).
     """
     delta = pixel_centers - mean
     a, b, c = conic
@@ -168,25 +161,12 @@ def gaussian_alpha_block(
 ) -> np.ndarray:
     """Evaluate the clamped densities of a block of splats at many pixels.
 
-    Vectorized counterpart of :func:`gaussian_alpha`: row ``i`` of the result
-    is bit-identical to ``gaussian_alpha(pixel_centers, means[i], conics[i],
-    opacities[i])`` because every element goes through the same sequence of
-    FP64 operations, merely batched.
-
-    Parameters
-    ----------
-    pixel_centers:
-        ``(P, 2)`` pixel-centre coordinates.
-    means:
-        ``(B, 2)`` screen-space Gaussian centres.
-    conics:
-        ``(B, 3)`` packed inverse covariances ``(a, b, c)``.
-    opacities:
-        ``(B,)`` opacities.
-
-    Returns
-    -------
-    ``(B, P)`` alpha matrix, clamped like :func:`gaussian_alpha`.
+    Vectorized counterpart of :func:`gaussian_alpha` over ``(B, 2)`` means,
+    ``(B, 3)`` conics and ``(B,)`` opacities: row ``i`` of the ``(B, P)``
+    result is bit-identical to ``gaussian_alpha(pixel_centers, means[i],
+    conics[i], opacities[i])`` because every element goes through the same
+    sequence of FP64 operations, merely batched.  The tile kernel computes
+    its exponents in the same order.
     """
     # Keep dx/dy contiguous (B, P) arrays rather than slicing a (B, P, 2)
     # delta tensor: the arithmetic below then runs on unit-stride memory.
@@ -232,13 +212,73 @@ _QMIN_MARGIN = (
     / (1.0 - _QMIN_MARGIN_ROUNDINGS * _UNIT_ROUNDOFF)
 )
 
-#: Relative slack on the final bound ``opacity * exp(-qmin / 2)``.  NumPy
-#: documents its float64 ``exp`` to within 4 ulp (8 unit roundoffs); the
-#: pixel's ``opacity * exp(power)`` and the bound each take one such ``exp``
-#: plus one rounded product, and the slack product one more rounding:
+#: Relative slack on the final bound ``opacity * exp(-qmin / 2)``.  The
+#: pixel's ``exp`` is NumPy's, documented to within 4 ulp (8 unit
+#: roundoffs); the bound's is the C library's (glibc's is within 1 ulp), so
+#: both stay within the 4 ulp assumed here.  The pixel's
+#: ``opacity * exp(power)`` and the bound each take one such ``exp`` plus
+#: one rounded product, and the slack product one more rounding:
 #: ``(1 + 8u)(1 + u) <= (1 - 8u)(1 - u)^2 (1 + s)`` holds for ``s >= 19u``;
 #: ``32u`` is the next power of two.
 _BOUND_SLACK = 1.0 + 32 * _UNIT_ROUNDOFF
+
+#: The tile kernel's build: ``-ffp-contract=off`` keeps every FP64
+#: operation separately rounded (never ``-ffast-math`` or
+#: ``-march=native``); the constants are passed as exact hex floats.
+_KERNEL_SOURCE = Path(__file__).with_name("tile_kernel.c")
+_KERNEL_FLAGS = ["-O2", "-ffp-contract=off", "-fPIC", "-shared"] + [
+    f"-D{name.lstrip('_')}={float(globals()[name]).hex()}"
+    for name in (
+        "ALPHA_SKIP_THRESHOLD", "ALPHA_MAX", "TRANSMITTANCE_EPSILON",
+        "_UNIT_ROUNDOFF", "_QMIN_MARGIN", "_BOUND_SLACK",
+    )
+]
+
+
+def _load_kernel() -> ctypes.CDLL:
+    """Load the tile kernel, building it on first use.
+
+    The shared object is cached in ``__pycache__/`` next to the source,
+    named by a hash of the source and the flags, and moved into place with
+    ``os.replace`` so concurrent first builds are safe.  Where that
+    directory cannot be written, it is built in a private temporary
+    directory, removed once loaded.  Without a working ``cc`` the import
+    fails with the command it tried: there is no fallback.
+    """
+    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + " ".join(_KERNEL_FLAGS).encode())
+    name = f"tile_kernel-{key.hexdigest()[:16]}.so"
+    cache = _KERNEL_SOURCE.parent / "__pycache__"
+    if (cache / name).exists():
+        kernel = ctypes.CDLL(str(cache / name))
+    else:
+        with tempfile.TemporaryDirectory() as private:  # if the cache is read-only
+            try:
+                cache.mkdir(exist_ok=True)
+                fd, built = tempfile.mkstemp(suffix=".so", dir=cache)
+            except OSError:
+                cache, (fd, built) = Path(private), tempfile.mkstemp(dir=private)
+            os.close(fd)
+            command = ["cc", *_KERNEL_FLAGS, str(_KERNEL_SOURCE), "-o", built, "-lm"]
+            try:
+                subprocess.run(command, check=True, capture_output=True, text=True)
+            except (OSError, subprocess.CalledProcessError) as error:
+                os.unlink(built)
+                raise ImportError(
+                    f"cannot build the Stage-3 tile kernel with `{' '.join(command)}`: "
+                    f"{getattr(error, 'stderr', None) or error}"
+                ) from error
+            os.replace(built, cache / name)
+            kernel = ctypes.CDLL(str(cache / name))
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    tile = [i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, i64, f64, f64, f64]
+    kernel.alpha_bounds.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr]
+    kernel.alpha_bounds.restype = None
+    kernel.tile_cull.argtypes, kernel.tile_cull.restype = tile, i64
+    kernel.tile_blend.argtypes, kernel.tile_blend.restype = tile + [i64] * 3, i64
+    return kernel
+
+
+_kernel = _load_kernel()
 
 
 def alpha_upper_bound(
@@ -262,56 +302,20 @@ def alpha_upper_bound(
 
     A splat whose mean, conic or opacity is not finite, or whose conic is
     not provably strictly positive definite, gets the bound ``+inf`` (it
-    is always kept).
-
-    Parameters
-    ----------
-    pixel_centers:
-        ``(P, 2)`` pixel-centre coordinates, ``P >= 1``.
-    means, conics, opacities:
-        ``(B, 2)``, ``(B, 3)`` and ``(B,)`` splat parameters.
-
-    Returns
-    -------
-    ``(B,)`` alpha upper bounds.
+    is always kept).  Takes ``(P, 2)`` pixel centres (``P >= 1``) and
+    ``(B, 2)``, ``(B, 3)``, ``(B,)`` splat parameters; returns the ``(B,)``
+    bounds, computed by the tile kernel's own bound function.
     """
-    a, b, c = conics[:, 0], conics[:, 1], conics[:, 2]
-    with np.errstate(all="ignore"):
-        # The same subtraction the alpha kernels perform, at the extreme
-        # pixel centres: the box of every pixel's computed delta.
-        dx_lo = pixel_centers[:, 0].min() - means[:, 0]
-        dx_hi = pixel_centers[:, 0].max() - means[:, 0]
-        dy_lo = pixel_centers[:, 1].min() - means[:, 1]
-        dy_hi = pixel_centers[:, 1].max() - means[:, 1]
-
-        # Positive definiteness with room for the rounding of a*c - b*b
-        # (its error is below 4.01 u * ac).
-        ac = a * c
-        det_lo = (ac - b * b) - 8 * _UNIT_ROUNDOFF * ac
-        valid = (
-            np.isfinite(conics).all(axis=1)
-            & np.isfinite(means).all(axis=1)
-            & np.isfinite(opacities)
-            & (a > 0.0)
-            & (c > 0.0)
-            & (det_lo > 0.0)
-        )
-
-        # Vertical edges (dx fixed): q is minimised at dy = -b dx / c;
-        # horizontal edges (dy fixed): at dx = -b dy / a.
-        edge_dx = np.stack([dx_lo, dx_hi])
-        edge_dy = np.stack([dy_lo, dy_hi])
-        dx = np.concatenate([edge_dx, np.clip(-(b * edge_dy) / a, dx_lo, dx_hi)])
-        dy = np.concatenate([np.clip(-(b * edge_dx) / c, dy_lo, dy_hi), edge_dy])
-        q = (a * dx ** 2 + c * dy ** 2) + 2.0 * (b * dx * dy)
-        qmin = q.min(axis=0)
-        inside = (dx_lo <= 0.0) & (dx_hi >= 0.0) & (dy_lo <= 0.0) & (dy_hi >= 0.0)
-        qmin[inside] = 0.0
-
-        margin = _QMIN_MARGIN * (4.0 * ac / det_lo)
-        qsafe = np.maximum(qmin * (1.0 - margin), 0.0)
-        bound = opacities * np.exp(-0.5 * qsafe) * _BOUND_SLACK
-    bound[~valid | np.isnan(bound)] = np.inf
+    pixels = np.ascontiguousarray(pixel_centers, dtype=np.float64)
+    rows = [
+        np.ascontiguousarray(values, dtype=np.float64)
+        for values in (means, conics, opacities)
+    ]
+    bound = np.empty(len(rows[2]))
+    _kernel.alpha_bounds(
+        len(bound), *(a.ctypes.data for a in rows), len(pixels),
+        pixels.ctypes.data, bound.ctypes.data,
+    )
     return bound
 
 
@@ -323,165 +327,55 @@ def rasterize_tile_vectorized(
     stats: Optional[RasterStats] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> np.ndarray:
-    """Rasterize one tile with the chunked vectorized engine.
+    """Rasterize one tile with the C tile kernel, bit-identical to the oracle.
 
-    Produces output and statistics **bit-identical** to
-    :func:`rasterize_tile` while replacing the per-Gaussian Python loop with
-    block-level NumPy passes.  Four observations make exact equivalence
-    possible:
-
-    * the alpha matrix of a block is elementwise, so batching it changes
-      nothing (:func:`gaussian_alpha_block`);
-    * the per-pixel transmittance recurrence is a left-to-right product of
-      ``(1 - alpha)`` factors (``1.0`` where the alpha threshold skips the
-      update), and ``np.cumprod`` along an axis performs exactly that
-      sequential fold.  Seeding the fold with the entry transmittance keeps
-      the association identical to the scalar loop.  Because transmittance
-      is non-increasing, the ``T >= epsilon`` activity test computed from
-      the unfrozen cumulative product agrees with the scalar path, and the
-      frozen exit value is recovered as the product at the first
-      sub-epsilon step;
-    * colour accumulation is a left-to-right sum of ``T * alpha * colour``
-      terms, and ``np.add.reduce`` along the leading axis performs the same
-      sequential fold (terms with zero weight are exact no-ops, matching
-      the scalar loop's skip of non-contributing Gaussians);
-    * culled rows are exact no-ops.  Before chunking, every row whose
-      :func:`alpha_upper_bound` over the tile's pixel box is below
-      ``ALPHA_SKIP_THRESHOLD`` is dropped: at no pixel can it pass the
-      threshold, so in the scalar loop it multiplies transmittance by
-      exactly 1.0 and adds exactly 0.  Its only trace is its
-      ``fragments_evaluated`` share, the count of pixels still active when
-      it is reached, which is the trail row after the last kept Gaussian
-      before it (every pixel before the first kept row).
-
-    Between blocks the engine narrows the pixel set to the columns whose
-    transmittance is still above epsilon: terminated pixels can never
-    contribute again (transmittance is non-increasing and frozen), so
-    dropping their columns is exact and recovers the per-pixel
-    early-termination savings of the scalar loop at block granularity.
-    Extra in-block evaluations past the scalar loop's break point contribute
-    zero to both the image and the counters.
+    Output and statistics equal :func:`rasterize_tile`'s.  ``tile_cull``
+    keeps the rows whose :func:`alpha_upper_bound` reaches
+    ``ALPHA_SKIP_THRESHOLD`` (a dropped row passes it at no pixel, so the
+    oracle multiplies by exactly 1.0 and adds exactly 0).  Then, per round
+    of ``chunk_size`` kept rows, C writes the exponents in
+    :func:`gaussian_alpha_block`'s operation order, :func:`numpy.exp`
+    evaluates them (the oracle's ``exp``, at whatever SIMD level NumPy
+    dispatches to), and ``tile_blend`` runs the oracle's per-pixel loop.
+    Pixel state carries across rounds; the tile stops after a round that
+    leaves no pixel live.  A pixel that terminates at list position ``j``
+    counts ``j + 1`` evaluated fragments, one that never does counts the
+    whole list.  The exponent buffers take ``chunk_size * P * 16`` bytes.
     """
-    num_pixels = len(pixel_centers)
-    # Colour is kept channel-major, (3, P), so the block fold below
-    # multiplies and sums unit-stride pixel rows.
-    color = np.zeros((3, num_pixels), dtype=np.float64)
-    transmittance = np.ones(num_pixels, dtype=np.float64)
-    background = np.asarray(background)
-    gaussian_indices = np.asarray(gaussian_indices, dtype=np.int64)
-    num_gaussians = len(gaussian_indices)
-
-    if num_gaussians == 0 or num_pixels == 0:
-        color += background[:, np.newaxis] * transmittance
-        if stats is not None:
-            stats.tiles_processed += 1
-        return np.ascontiguousarray(color.T)
-
-    # Gather the tile's Gaussian parameters once, then keep only the rows
-    # whose alpha bound over the tile reaches the threshold; chunks below
-    # take views of the kept rows.
-    means = projected.means[gaussian_indices]
-    conics = projected.cov_inverses[gaussian_indices]
-    opacities = projected.opacities[gaussian_indices]
-    kept = np.flatnonzero(
-        alpha_upper_bound(pixel_centers, means, conics, opacities)
-        >= ALPHA_SKIP_THRESHOLD
-    )
-    # Culled rows before the first kept row see every pixel active; those
-    # after kept row j see the pixels active after it (gap_after[j] rows).
-    evaluated = (int(kept[0]) if len(kept) else num_gaussians) * num_pixels
-    gap_after = np.diff(kept, append=num_gaussians) - 1
-    means = means[kept]
-    conics = conics[kept]
-    opacities = opacities[kept]
-    colors = projected.colors[gaussian_indices[kept]]
-    num_kept = len(kept)
-
-    # Columns (pixels) still accumulating; whole arrays while all are live.
-    live = np.arange(num_pixels)
-    live_pixels = pixel_centers
-    live_transmittance = transmittance
-    live_color = color
-
-    blended = 0
-    for start in range(0, num_kept, chunk_size):
-        still_live = live_transmittance >= TRANSMITTANCE_EPSILON
-        num_live = int(np.count_nonzero(still_live))
-        if num_live == 0:
-            break
-        if num_live < len(live):
-            # Freeze the dropped columns' state before narrowing.
-            transmittance[live] = live_transmittance
-            color[:, live] = live_color
-            live = live[still_live]
-            live_pixels = pixel_centers[live]
-            live_transmittance = live_transmittance[still_live]
-            live_color = live_color[:, still_live]
-
-        stop = min(start + chunk_size, num_kept)
-        block_size = stop - start
-
-        alpha = gaussian_alpha_block(
-            live_pixels,
-            means[start:stop],
-            conics[start:stop],
-            opacities[start:stop],
+    indices = np.ascontiguousarray(gaussian_indices, dtype=np.int64)
+    pixels = np.ascontiguousarray(pixel_centers, dtype=np.float64)
+    frame = [
+        np.ascontiguousarray(values, dtype=np.float64)
+        for values in (
+            projected.means, projected.cov_inverses, projected.opacities,
+            projected.colors,
         )
-        passes = alpha >= ALPHA_SKIP_THRESHOLD
+    ]
+    num_gaussians, num_pixels = len(indices), len(pixels)
+    rows = max(1, min(chunk_size, num_gaussians))
+    # The kernel's workspaces, laid out as tile_kernel.c describes.
+    ints = np.empty(num_gaussians + 2, dtype=np.int64)
+    work = np.empty((4 + 2 * rows) * num_pixels)
+    powers = work[4 * num_pixels:(4 + rows) * num_pixels]
+    exps = work[(4 + rows) * num_pixels:]
+    args = (
+        num_gaussians, indices.ctypes.data, *(a.ctypes.data for a in frame),
+        num_pixels, pixels.ctypes.data, ints.ctypes.data, work.ctypes.data,
+        rows, *np.asarray(background, dtype=np.float64).reshape(3).tolist(),
+    )
 
-        # Transmittance before each Gaussian of the block: sequential
-        # cumulative product seeded with the entry transmittance (row 0).
-        trail = np.empty((block_size + 1, num_live), dtype=np.float64)
-        trail[0] = live_transmittance
-        trail[1:] = np.where(passes, 1.0 - alpha, 1.0)
-        np.cumprod(trail, axis=0, out=trail)
-        before = trail[:-1]
-
-        # Row i + 1 of the activity mask is also the activity every culled
-        # row between kept rows i and i + 1 sees.
-        trail_active = trail >= TRANSMITTANCE_EPSILON
-        active_counts = np.count_nonzero(trail_active, axis=1)
-        active = trail_active[:-1]
-        contributes = np.logical_and(active, passes)
-        evaluated += int(active_counts[:-1].sum())
-        evaluated += int(active_counts[1:] @ gap_after[start:stop])
-        blended += int(np.count_nonzero(contributes))
-
-        # Sequential colour fold seeded with the entry colour (row 0).
-        # Rows whose weights are all exactly zero add nothing (the scalar
-        # loop skips them outright), so only contributing rows are folded.
-        weight = np.multiply(before, alpha, out=alpha)
-        weight *= contributes
-        rows = np.nonzero(contributes.any(axis=1))[0]
-        if len(rows):
-            terms = np.empty((len(rows) + 1, 3, num_live), dtype=np.float64)
-            terms[0] = live_color
-            np.multiply(
-                weight[rows, np.newaxis, :],
-                colors[start:stop][rows][:, :, np.newaxis],
-                out=terms[1:],
-            )
-            live_color = np.add.reduce(terms, axis=0)
-
-        # Exit transmittance: the cumulative product freezes at the first
-        # sub-epsilon step (early-terminated pixels stop updating).  The
-        # product is non-increasing down each column, so only columns whose
-        # final value fell below epsilon need the search.
-        last = trail[-1]
-        cols = np.nonzero(~trail_active[-1])[0]
-        if len(cols):
-            first_below = trail_active[:, cols].argmin(axis=0)
-            last[cols] = trail[first_below, cols]
-        live_transmittance = last
-
-    transmittance[live] = live_transmittance
-    color[:, live] = live_color
-    color += background[:, np.newaxis] * transmittance
+    kept = _kernel.tile_cull(*args)
+    start, live = 0, num_pixels
+    while live and start < kept:
+        size = min(rows, kept - start) * num_pixels
+        np.exp(powers[:size], out=exps[:size])
+        live = _kernel.tile_blend(*args, start, kept, live)
+        start += rows
     if stats is not None:
-        stats.fragments_evaluated += evaluated
-        stats.fragments_blended += blended
+        stats.fragments_evaluated += int(ints[-2]) + num_gaussians * live
+        stats.fragments_blended += int(ints[-1])
         stats.tiles_processed += 1
-    return np.ascontiguousarray(color.T)
+    return work[:3 * num_pixels].reshape(num_pixels, 3).copy()
 
 
 def rasterize_tiles(
@@ -490,7 +384,7 @@ def rasterize_tiles(
     background=(0.0, 0.0, 0.0),
     collect_stats: bool = True,
 ) -> tuple[np.ndarray, RasterStats]:
-    """Rasterize a full frame tile by tile with the vectorized engine.
+    """Rasterize a full frame tile by tile with the compiled tile kernel.
 
     Returns
     -------
@@ -529,27 +423,13 @@ def rasterize_tile(
 ) -> np.ndarray:
     """Rasterize one tile with the per-Gaussian loop: the contract-1 oracle.
 
-    This is the readable golden model of the block engine.  Tests compare
-    :func:`rasterize_tile_vectorized` (and, frame by frame, a tile loop over
-    this function against :func:`rasterize_tiles`) for bit-identical colours
-    and identical counters; no product path calls it.
-
-    Parameters
-    ----------
-    projected:
-        All projected Gaussians of the frame.
-    gaussian_indices:
-        Depth-sorted indices of the Gaussians assigned to this tile.
-    pixel_centers:
-        ``(P, 2)`` pixel-centre coordinates of the tile.
-    background:
-        ``(3,)`` background colour blended under the remaining transmittance.
-    stats:
-        Optional workload counter updated in place.
-
-    Returns
-    -------
-    ``(P, 3)`` RGB colours for the tile's pixels.
+    The readable golden model of the tile kernel: blends the depth-sorted
+    ``gaussian_indices`` of ``projected`` at the tile's ``(P, 2)``
+    ``pixel_centers`` over the ``(3,)`` ``background``, returns the
+    ``(P, 3)`` colours and updates ``stats`` in place if given.  Tests
+    compare :func:`rasterize_tile_vectorized` (and, frame by frame, a tile
+    loop over this function against :func:`rasterize_tiles`) for
+    bit-identical colours and identical counters; no product path calls it.
     """
     num_pixels = len(pixel_centers)
     color = np.zeros((num_pixels, 3), dtype=np.float64)
@@ -598,16 +478,12 @@ def rasterize_reference(
     only in tests to validate that tile binning does not change the image
     (beyond the conservative-radius cut-off).
 
-    When ``stats`` is given, ``fragments_evaluated`` counts the Gaussian-pixel
-    pairs whose pixel had not yet early-terminated (mirroring the per-pixel
-    activity gate of the tiled path) and ``fragments_blended`` counts the
-    pairs that passed the alpha threshold, so workload counters can be
-    compared against :func:`rasterize_tiles`.  ``tiles_processed`` and
-    ``per_tile_gaussians`` are left untouched: this path has no tiling, so
-    tile-level counters are meaningless here.  Note that, unlike the tiled
-    path, every Gaussian is considered at every pixel — there is no
-    conservative-radius cut-off and no whole-tile break — so evaluated
-    counts are an upper bound on (not a copy of) the tiled workload.
+    With ``stats``, ``fragments_evaluated`` counts the Gaussian-pixel pairs
+    whose pixel had not yet early-terminated and ``fragments_blended`` the
+    pairs past the alpha threshold; tile-level counters are left untouched.
+    Every Gaussian is considered at every pixel (no conservative-radius
+    cut-off, no whole-tile break), so evaluated counts are an upper bound
+    on, not a copy of, the tiled workload.
     """
     background = np.asarray(background, dtype=np.float64).reshape(3)
     pixels = grid.pixel_centers.reshape(-1, 2)

@@ -13,6 +13,8 @@ tile engine and the per-Gaussian oracle loop regardless of input:
   whatever rows the cull drops.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -401,16 +403,28 @@ class TestFootprintCullAccounting:
 
     def test_culled_rows_never_reach_alpha_block(self, mixed_tile, monkeypatch):
         projected, indices, pixels = mixed_tile
-        rows = []
-
-        def counting_block(pixel_centers, means, conics, opacities):
-            rows.append(len(means))
-            return gaussian_alpha_block(pixel_centers, means, conics, opacities)
-
-        monkeypatch.setattr(rasterize, "gaussian_alpha_block", counting_block)
-        rasterize_tile_vectorized(projected, indices, pixels, np.zeros(3))
         kept = int(np.count_nonzero(~_culled(projected, indices, pixels)))
-        assert 0 < sum(rows) <= kept
+        kernel, numpy_exp = rasterize._kernel, np.exp
+        kept_counts, exp_sizes = [], []
+
+        def counting_cull(*args):
+            kept_counts.append(kernel.tile_cull(*args))
+            return kept_counts[-1]
+
+        def counting_exp(powers, out):
+            exp_sizes.append(powers.size)
+            return numpy_exp(powers, out=out)
+
+        # The kernel's kept-row count, and the size of every power matrix
+        # that reaches exp: at most one entry per kept row and pixel.
+        monkeypatch.setattr(
+            rasterize, "_kernel",
+            SimpleNamespace(tile_cull=counting_cull, tile_blend=kernel.tile_blend),
+        )
+        monkeypatch.setattr(np, "exp", counting_exp)
+        rasterize_tile_vectorized(projected, indices, pixels, np.zeros(3))
+        assert kept_counts == [kept]
+        assert 0 < sum(exp_sizes) <= kept * len(pixels)
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 64])
     @given(seed=st.integers(min_value=0, max_value=10_000))

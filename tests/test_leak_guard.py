@@ -70,6 +70,11 @@ CASES = {
     "unseeded-mt19937": ("np.random.MT19937()", OS_ENTROPY),
     "unseeded-seed-sequence": ("np.random.SeedSequence()", OS_ENTROPY),
     "unseeded-random-state": ("np.random.RandomState()", OS_ENTROPY),
+    "seeded-random-state": (
+        "np.random.RandomState(5).random_sample(); "
+        "np.random.RandomState([1, 2]).randint(10)",
+        None,
+    ),
     "legacy-numpy-shuffle": ("np.random.shuffle([1, 2, 3])", NUMPY_GLOBAL),
     "stdlib-global-seed": ("random.seed(3)", STDLIB_GLOBAL),
     "stdlib-reseed-from-entropy": ("random.Random(42).seed()", OS_ENTROPY),
